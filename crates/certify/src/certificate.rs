@@ -2,7 +2,7 @@
 
 use pieri_linalg::inf_norm;
 use pieri_num::Complex64;
-use pieri_tracker::{newton_step_with, Homotopy, TrackWorkspace};
+use pieri_tracker::{newton_correct_with, Homotopy, TrackWorkspace};
 
 /// Contraction threshold under which an endpoint is certifiable.
 ///
@@ -168,11 +168,11 @@ impl Certificate {
 /// Certifies one endpoint of `h` at parameter `t` (the shipped solutions
 /// live at `t = 1`) from two fused Newton steps.
 ///
-/// The steps run through [`newton_step_with`], so each costs exactly one
-/// fused `eval_and_jacobian` (the `DetCofactor` kernels for the
-/// determinantal homotopies) plus one LU solve on the workspace's reused
-/// buffers — two fused evaluations per certificate in total, with the
-/// first step's residual doubling as the endpoint residual. `x` itself
+/// Each step is a one-iteration [`newton_correct_with`], so it costs
+/// exactly one fused `eval_and_jacobian` (the `DetCofactor` kernels for
+/// the determinantal homotopies) plus one LU solve on the workspace's
+/// reused buffers — two fused evaluations per certificate in total, with
+/// the first step's residual doubling as the endpoint residual. `x` itself
 /// is **not** modified — the certificate describes the point the
 /// tracker shipped, not a corrected one.
 pub fn certify_endpoint<H: Homotopy + ?Sized>(
@@ -189,12 +189,14 @@ pub fn certify_endpoint<H: Homotopy + ?Sized>(
     // Two observed Newton steps from a scratch copy of the endpoint;
     // the first step's evaluation doubles as the endpoint residual.
     let mut y = x.to_vec();
-    let first = newton_step_with(h, &mut y, t, ws);
+    // A one-iteration correction reports the residual at its input point
+    // and the update it applied; tolerance 0 leaves `converged` unused.
+    let first = newton_correct_with(h, &mut y, t, 0.0, 1, ws);
     let residual_at_x = first.residual;
     if first.singular {
         return Certificate::failed("singular Jacobian at the endpoint");
     }
-    let beta = first.step;
+    let beta = first.last_step;
     if !beta.is_finite() {
         return Certificate::failed("non-finite Newton step");
     }
@@ -216,16 +218,16 @@ pub fn certify_endpoint<H: Homotopy + ?Sized>(
         };
     }
 
-    let second = newton_step_with(h, &mut y, t, ws);
+    let second = newton_correct_with(h, &mut y, t, 0.0, 1, ws);
     let (contraction, gamma, second_singular) = if second.singular {
         (f64::INFINITY, f64::INFINITY, true)
     } else {
-        let c = second.step / beta;
+        let c = second.last_step / beta;
         (c, c / beta, false)
     };
 
     let verdict =
-        if !second_singular && second.step <= noise_floor && beta <= BETA_CERTIFIED * scale {
+        if !second_singular && second.last_step <= noise_floor && beta <= BETA_CERTIFIED * scale {
             // The second step bottomed out at the noise floor: quadratic
             // convergence completed within working precision.
             Verdict::Certified {

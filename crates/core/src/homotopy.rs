@@ -328,10 +328,11 @@ impl Homotopy for PieriHomotopy {
         let p = shape.p();
         let sc = scratch.get_or_insert_with(CondScratch::new);
         sc.ensure(shape.big_n(), k, p);
-        // Fixed conditions do not depend on t: Jacobian rows only.
+        // Fixed conditions do not depend on t: Jacobian rows only, which
+        // read the p X-block cofactor columns and no determinant.
         for i in 0..self.fixed.len() {
             self.build_fixed_cond(i, x, &mut sc.cond);
-            sc.engine.det_and_cofactor_into(&sc.cond, &mut sc.cof);
+            sc.engine.cofactor_cols_into(&sc.cond, &mut sc.cof, p);
             for slot in 0..k {
                 jac[(i, slot)] = sc.cof[(self.layout.phys_row(slot), self.layout.col(slot))]
                     * self.fixed_slot_w[i][slot];
@@ -339,10 +340,12 @@ impl Homotopy for PieriHomotopy {
             ht[i] = Complex64::ZERO;
         }
         // Moving condition: the same cofactor matrix feeds both the
-        // Jacobian row and the ∂H/∂t contraction.
+        // Jacobian row and the ∂H/∂t contraction, which reads every
+        // column.
         let (s, u) = self.moving_point(t);
         self.build_moving_cond(x, t, s, u, &mut sc.slot_w, &mut sc.top_w, &mut sc.cond);
-        sc.engine.det_and_cofactor_into(&sc.cond, &mut sc.cof);
+        sc.engine
+            .cofactor_cols_into(&sc.cond, &mut sc.cof, shape.big_n());
         for slot in 0..k {
             jac[(k - 1, slot)] =
                 sc.cof[(self.layout.phys_row(slot), self.layout.col(slot))] * sc.slot_w[slot];

@@ -231,7 +231,8 @@ impl Homotopy for InstanceHomotopy {
         for i in 0..self.conditions.len() {
             let (sigma, dsigma) = self.point_at(i, t);
             self.build_cond(i, x, t, sigma, &mut sc.slot_w, &mut sc.top_w, &mut sc.cond);
-            sc.engine.det_and_cofactor_into(&sc.cond, &mut sc.cof);
+            sc.engine
+                .cofactor_cols_into(&sc.cond, &mut sc.cof, shape.big_n());
             // Jacobian row and ∂H/∂t entry from the same cofactors.
             for slot in 0..k {
                 jac[(i, slot)] =

@@ -16,11 +16,16 @@
 //!
 //! Near a solution the condition matrix is (by construction) nearly
 //! singular, so computing `adj(A) = det(A)·A⁻¹` through an LU solve is
-//! numerically treacherous exactly where we need it most. The minor-based
-//! evaluation used here costs `O(n⁵)` but is unconditionally stable, and the
-//! matrices are tiny (`n = m+p ≤ 8` in every experiment of the paper); the
-//! `det_jacobian` criterion bench quantifies the trade-off against the
-//! LU shortcut.
+//! numerically treacherous exactly where we need it most. The free
+//! functions below evaluate every cofactor from its own minor: `O(n⁵)`,
+//! but unconditionally stable. They are the reference [`DetCofactor`] is
+//! tested against. The engine is what the homotopy kernels call: up to
+//! 4×4 it reads closed-form minors straight from the matrix, and past
+//! that it takes the cofactors from triangular solves against one LU
+//! factorisation (`O(n³)`), falling back to the minors only when the
+//! pivots signal near-singularity. The matrices are tiny (`n = m+p ≤ 8`
+//! in every experiment of the paper). The `kernels` criterion bench times
+//! the engine inside the fused `eval_jacobian` and `tangent` kernels.
 
 use crate::lu::{Lu, LuError};
 use crate::matrix::CMat;
@@ -34,15 +39,7 @@ pub fn det_via_minors(a: &CMat) -> Complex64 {
     assert!(a.is_square(), "det of non-square matrix");
     let n = a.rows();
     match n {
-        0 => Complex64::ONE,
-        1 => a[(0, 0)],
-        2 => a[(0, 0)] * a[(1, 1)] - a[(0, 1)] * a[(1, 0)],
-        3 => {
-            let m = |i: usize, j: usize| a[(i, j)];
-            m(0, 0) * (m(1, 1) * m(2, 2) - m(1, 2) * m(2, 1))
-                - m(0, 1) * (m(1, 0) * m(2, 2) - m(1, 2) * m(2, 0))
-                + m(0, 2) * (m(1, 0) * m(2, 1) - m(1, 1) * m(2, 0))
-        }
+        0..=3 => det_closed_form(n, |i, j| a[(i, j)]),
         _ => {
             let mut acc = Complex64::ZERO;
             let mut sign = 1.0;
@@ -55,6 +52,25 @@ pub fn det_via_minors(a: &CMat) -> Complex64 {
             }
             acc
         }
+    }
+}
+
+/// Closed-form determinant of the `n × n` matrix (`n ≤ 3`) whose entry
+/// `(i, j)` is `m(i, j)`. [`det_via_minors`] and the engine's minors both
+/// evaluate this one expression, so their results are bitwise equal
+/// whether the entries come from a copied minor or are read in place.
+#[inline(always)]
+fn det_closed_form(n: usize, m: impl Fn(usize, usize) -> Complex64) -> Complex64 {
+    match n {
+        0 => Complex64::ONE,
+        1 => m(0, 0),
+        2 => m(0, 0) * m(1, 1) - m(0, 1) * m(1, 0),
+        3 => {
+            m(0, 0) * (m(1, 1) * m(2, 2) - m(1, 2) * m(2, 1))
+                - m(0, 1) * (m(1, 0) * m(2, 2) - m(1, 2) * m(2, 0))
+                + m(0, 2) * (m(1, 0) * m(2, 1) - m(1, 1) * m(2, 0))
+        }
+        _ => unreachable!("closed form covers n ≤ 3"),
     }
 }
 
@@ -75,8 +91,7 @@ fn minor_det(a: &CMat, r: usize, c: usize) -> Complex64 {
 
 /// Single cofactor `C_{r,c} = (−1)^{r+c} · det(minor(a, r, c))`.
 pub fn cofactor(a: &CMat, r: usize, c: usize) -> Complex64 {
-    let sign = if (r + c).is_multiple_of(2) { 1.0 } else { -1.0 };
-    minor_det(a, r, c).scale(sign)
+    minor_det(a, r, c).scale(cofactor_sign(r, c))
 }
 
 /// Full cofactor matrix `C` with `C_{r,c}` in position `(r, c)`.
@@ -114,15 +129,24 @@ pub const FUSED_PIVOT_RATIO_LIMIT: f64 = 1e12;
 
 /// Fused determinant + cofactor evaluation with reusable storage.
 ///
-/// One LU factorisation yields the determinant (product of pivots) *and*
-/// every cofactor entry: column `c` of the cofactor matrix is
-/// `det(A) · y` where `Aᵀ·y = e_c`, i.e. two triangular solves per column
-/// against the factorisation already in hand — `O(n³)` total versus the
-/// `O(n⁵)` of [`cofactor_matrix`]'s per-entry minors. When the pivot
-/// ratio signals near-singularity (the regime where `det·A⁻ᵀ` cancels
-/// catastrophically — and, by construction, exactly where a Pieri
-/// condition matrix sits at a solution) the engine falls back to the
-/// minor expansion automatically, producing bitwise the same entries as
+/// Two entry points share one cofactor routine, so they write bitwise the
+/// same entries: [`DetCofactor::det_and_cofactor_cols_into`] also returns
+/// the determinant (the Newton residual), [`DetCofactor::cofactor_cols_into`]
+/// computes only the cofactors (the tangent system needs no residual).
+/// Both fill only the leading columns their caller reads.
+///
+/// Up to 4×4 the cofactors are closed-form minors read straight from the
+/// matrix: no solves, no copies, unconditionally stable, and `m + p = 4`
+/// is the most common condition-matrix size. Past that, one LU
+/// factorisation yields the determinant (product of pivots) *and* every
+/// cofactor entry: column `c` of the cofactor matrix is `det(A) · y`
+/// where `Aᵀ·y = e_c`, i.e. two triangular solves per column against the
+/// factorisation already in hand — `O(n³)` total versus the `O(n⁵)` of
+/// [`cofactor_matrix`]'s per-entry minors. When the pivot ratio signals
+/// near-singularity (the regime where `det·A⁻ᵀ` cancels catastrophically
+/// — and, by construction, exactly where a Pieri condition matrix sits
+/// at a solution) the engine falls back to the minor expansion
+/// automatically. Either minor route produces bitwise the same entries as
 /// [`cofactor_matrix`]. Every buffer is owned and reused, so steady-state
 /// calls perform no heap allocation.
 #[derive(Debug)]
@@ -153,25 +177,16 @@ impl DetCofactor {
         }
     }
 
-    /// Computes `det(a)` and writes the full cofactor matrix into `cof`.
+    /// Computes `det(a)` and writes the leading `cols` columns of its
+    /// cofactor matrix into `cof`; the remaining columns of `cof` are
+    /// left untouched. The Newton-corrector kernel only ever contracts
+    /// the `p` X-block columns of a condition matrix, so it skips the
+    /// plane-block columns entirely.
     ///
     /// The determinant follows the [`crate::try_det`] convention:
     /// numerically singular input reports `0`. The cofactor of a singular
     /// matrix is still well-defined and nonzero for rank `n−1`, which is
     /// what the homotopy Jacobians rely on.
-    ///
-    /// # Panics
-    /// Panics when `a` is not square or `cof` has a different shape.
-    pub fn det_and_cofactor_into(&mut self, a: &CMat, cof: &mut CMat) -> Complex64 {
-        self.det_and_cofactor_cols_into(a, cof, a.rows())
-    }
-
-    /// [`DetCofactor::det_and_cofactor_into`] restricted to the leading
-    /// `cols` cofactor columns; the remaining columns of `cof` are left
-    /// untouched. The Newton-corrector kernel only ever contracts the
-    /// `p` X-block columns of a condition matrix, so it skips the
-    /// plane-block extraction entirely (`jacobian_and_dt` still needs
-    /// every column for the `∂A/∂t` contraction).
     ///
     /// # Panics
     /// Panics when `a` is not square, `cof` has a different shape, or
@@ -182,32 +197,60 @@ impl DetCofactor {
         cof: &mut CMat,
         cols: usize,
     ) -> Complex64 {
-        assert!(a.is_square(), "det_and_cofactor_into: non-square matrix");
-        assert_eq!(
-            (cof.rows(), cof.cols()),
-            (a.rows(), a.cols()),
-            "det_and_cofactor_into: cofactor shape mismatch"
-        );
-        assert!(cols <= a.rows(), "det_and_cofactor_into: column range");
-        let n = a.rows();
-        // Up to 4×4 the closed-form minors beat the triangular-solve
-        // route for the *cofactors* (no solves, unconditionally stable)
-        // — and `m + p = 4` is the most common condition-matrix size in
-        // the pole-placement workload. The determinant still comes from
+        if let Some(d) = self.cofactors(a, cof, cols) {
+            return d;
+        }
+        // The closed-form minors computed no determinant. Take it from
         // the LU pivots: near a singularity (= near a solution, where
         // residual accuracy decides whether Newton converges) the pivot
         // product is markedly more accurate than a Laplace expansion,
         // whose four large terms cancel to the tiny value. This also
         // keeps the fused residual bitwise identical to [`crate::det`].
-        if n <= 4 {
-            self.cofactor_via_minors(a, cof, cols);
-            return match Lu::factor_into(a, &mut self.lu) {
-                Ok(()) => self.lu.det(),
-                Err(LuError::Singular { .. }) => Complex64::ZERO,
-                Err(LuError::NotSquare) => unreachable!("squareness asserted above"),
-            };
-        }
         match Lu::factor_into(a, &mut self.lu) {
+            Ok(()) => self.lu.det(),
+            Err(LuError::Singular { .. }) => Complex64::ZERO,
+            Err(LuError::NotSquare) => unreachable!("`cofactors` asserted squareness"),
+        }
+    }
+
+    /// Writes the leading `cols` columns of the cofactor matrix of `a`
+    /// into `cof`, bitwise equal to the columns
+    /// [`DetCofactor::det_and_cofactor_cols_into`] writes, and leaves the
+    /// remaining columns untouched. Up to 4×4 it factors nothing: the
+    /// Davidenko tangent kernel needs the cofactors but not the residual.
+    ///
+    /// # Panics
+    /// As [`DetCofactor::det_and_cofactor_cols_into`].
+    pub fn cofactor_cols_into(&mut self, a: &CMat, cof: &mut CMat, cols: usize) {
+        self.cofactors(a, cof, cols);
+    }
+
+    /// The cofactor routine behind both entry points. Returns the LU
+    /// determinant when the cofactors came from a factorisation of `a`
+    /// (past 4×4; `0` for singular input), `None` for the closed-form
+    /// minors.
+    fn cofactors(&mut self, a: &CMat, cof: &mut CMat, cols: usize) -> Option<Complex64> {
+        assert!(a.is_square(), "DetCofactor: non-square matrix");
+        assert_eq!(
+            (cof.rows(), cof.cols()),
+            (a.rows(), a.cols()),
+            "DetCofactor: cofactor shape mismatch"
+        );
+        assert!(cols <= a.rows(), "DetCofactor: column range");
+        let n = a.rows();
+        if n <= 4 {
+            for r in 0..n {
+                for c in 0..cols {
+                    // Minor (r, c) read in place: skip row r and column c.
+                    let d = det_closed_form(n - 1, |i, j| {
+                        a[(i + usize::from(i >= r), j + usize::from(j >= c))]
+                    });
+                    cof[(r, c)] = d.scale(cofactor_sign(r, c));
+                }
+            }
+            return None;
+        }
+        Some(match Lu::factor_into(a, &mut self.lu) {
             Ok(()) if self.lu.pivot_ratio() <= FUSED_PIVOT_RATIO_LIMIT => {
                 let d = self.lu.det();
                 self.rhs.clear();
@@ -226,46 +269,47 @@ impl DetCofactor {
                 // Factorisation succeeded but the pivots are too spread:
                 // keep the LU determinant (the same value `det` reports)
                 // but take the cofactors from the stable minor expansion.
-                let d = self.lu.det();
-                self.cofactor_via_minors(a, cof, cols);
-                d
+                self.cofactor_via_minor_lu(a, cof, cols);
+                self.lu.det()
             }
             Err(LuError::Singular { .. }) => {
-                self.cofactor_via_minors(a, cof, cols);
+                self.cofactor_via_minor_lu(a, cof, cols);
                 Complex64::ZERO
             }
             Err(LuError::NotSquare) => unreachable!("squareness asserted above"),
-        }
+        })
     }
 
-    /// Minor-expansion fallback writing the leading `cols` columns into
-    /// `cof` — the same arithmetic as [`cofactor_matrix`] (bitwise
-    /// identical entries), but against the engine's reusable minor/LU
-    /// scratch.
-    fn cofactor_via_minors(&mut self, a: &CMat, cof: &mut CMat, cols: usize) {
+    /// Minor-expansion fallback past 4×4, writing the leading `cols`
+    /// columns into `cof` — the same arithmetic as [`cofactor_matrix`]
+    /// (bitwise identical entries): each minor is copied into the
+    /// engine's reusable scratch and factored there.
+    fn cofactor_via_minor_lu(&mut self, a: &CMat, cof: &mut CMat, cols: usize) {
         let n = a.rows();
-        if n == 0 {
-            return;
-        }
         if (self.minor.rows(), self.minor.cols()) != (n - 1, n - 1) {
             self.minor = CMat::zeros(n - 1, n - 1);
         }
         for r in 0..n {
             for c in 0..cols {
                 a.minor_into(r, c, &mut self.minor);
-                let d = if n - 1 <= 3 {
-                    det_via_minors(&self.minor)
-                } else {
-                    match Lu::factor_into(&self.minor, &mut self.minor_lu) {
-                        Ok(()) => self.minor_lu.det(),
-                        Err(LuError::Singular { .. }) => Complex64::ZERO,
-                        Err(LuError::NotSquare) => unreachable!("minor is square"),
-                    }
+                let d = match Lu::factor_into(&self.minor, &mut self.minor_lu) {
+                    Ok(()) => self.minor_lu.det(),
+                    Err(LuError::Singular { .. }) => Complex64::ZERO,
+                    Err(LuError::NotSquare) => unreachable!("minor is square"),
                 };
-                let sign = if (r + c).is_multiple_of(2) { 1.0 } else { -1.0 };
-                cof[(r, c)] = d.scale(sign);
+                cof[(r, c)] = d.scale(cofactor_sign(r, c));
             }
         }
+    }
+}
+
+/// The checkerboard sign `(−1)^{r+c}` of cofactor `(r, c)`.
+#[inline]
+fn cofactor_sign(r: usize, c: usize) -> f64 {
+    if (r + c).is_multiple_of(2) {
+        1.0
+    } else {
+        -1.0
     }
 }
 
@@ -364,7 +408,7 @@ mod tests {
         for n in 1..=8 {
             let a = CMat::random(n, n, &mut rng, random_complex);
             let mut cof = CMat::zeros(n, n);
-            let d = engine.det_and_cofactor_into(&a, &mut cof);
+            let d = engine.det_and_cofactor_cols_into(&a, &mut cof, n);
             let d_ref = lu::det(&a);
             assert!(d.dist(d_ref) < 1e-10 * (1.0 + d_ref.norm()), "n={n} det");
             let c_ref = cofactor_matrix(&a);
@@ -382,12 +426,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_engine_falls_back_on_singular_input() {
-        // Rank n−1 at n = 5 (past the closed-form cutoff): LU
-        // factorisation fails, the fallback must reproduce the
-        // minor-based cofactor bitwise and report det = 0.
-        let a = CMat::from_rows(&[
+    /// Rank n−1 at n = 5 (past the closed-form cutoff): LU factorisation
+    /// fails, so the cofactors take the minor fallback.
+    fn rank_deficient_5x5() -> CMat {
+        CMat::from_rows(&[
             vec![
                 c(1.0, 0.0),
                 c(2.0, 0.0),
@@ -423,10 +465,37 @@ mod tests {
                 c(1.0, 0.0),
                 c(0.25, 0.0),
             ],
-        ]);
+        ])
+    }
+
+    /// diag(1, …, 1, 1e-13) at n = 5: factorisation succeeds but the
+    /// pivot ratio exceeds the guard.
+    fn wild_pivot_5x5() -> CMat {
+        let n = 5;
+        CMat::from_fn(n, n, |i, j| {
+            if i != j {
+                Complex64::ZERO
+            } else if i == n - 1 {
+                c(1e-13, 0.0)
+            } else {
+                Complex64::ONE
+            }
+        })
+    }
+
+    /// Rank 1 at n = 3 (closed-form cofactors, singular LU).
+    fn rank_one_3x3() -> CMat {
+        CMat::from_fn(3, 3, |i, j| c((i + 1) as f64 * (j + 1) as f64, 0.0))
+    }
+
+    #[test]
+    fn fused_engine_falls_back_on_singular_input() {
+        // The fallback must reproduce the minor-based cofactor bitwise
+        // and report det = 0.
+        let a = rank_deficient_5x5();
         let mut engine = DetCofactor::new();
         let mut cof = CMat::zeros(5, 5);
-        let d = engine.det_and_cofactor_into(&a, &mut cof);
+        let d = engine.det_and_cofactor_cols_into(&a, &mut cof, 5);
         assert_eq!(d, Complex64::ZERO);
         assert_eq!(cof, cofactor_matrix(&a), "fallback is bitwise the minors");
         assert!(cof.fro_norm() > 1e-10, "rank n−1 cofactor is nonzero");
@@ -444,37 +513,57 @@ mod tests {
         for n in 1..=4 {
             let a = CMat::random(n, n, &mut rng, random_complex);
             let mut cof = CMat::zeros(n, n);
-            let d = engine.det_and_cofactor_into(&a, &mut cof);
+            let d = engine.det_and_cofactor_cols_into(&a, &mut cof, n);
             assert_eq!(cof, cofactor_matrix(&a), "n={n}: bitwise minors");
             let d_ref = det_via_minors(&a);
             assert!(d.dist(d_ref) < 1e-12 * (1.0 + d_ref.norm()), "n={n}");
         }
-        // Singular 3×3 (rank 1).
-        let s = CMat::from_fn(3, 3, |i, j| c((i + 1) as f64 * (j + 1) as f64, 0.0));
         let mut cof = CMat::zeros(3, 3);
-        let d = engine.det_and_cofactor_into(&s, &mut cof);
+        let d = engine.det_and_cofactor_cols_into(&rank_one_3x3(), &mut cof, 3);
         assert!(d.norm() < 1e-12, "singular det ≈ 0, got {d:?}");
     }
 
     #[test]
     fn fused_engine_falls_back_on_wild_pivot_ratio() {
-        // diag(1, …, 1, 1e-13): factorisation succeeds but the pivot
-        // ratio exceeds the guard, so cofactors must come from minors.
-        let n = 5;
-        let a = CMat::from_fn(n, n, |i, j| {
-            if i != j {
-                Complex64::ZERO
-            } else if i == n - 1 {
-                c(1e-13, 0.0)
-            } else {
-                Complex64::ONE
-            }
-        });
+        // The cofactors must come from the minors.
+        let a = wild_pivot_5x5();
         let mut engine = DetCofactor::new();
-        let mut cof = CMat::zeros(n, n);
-        let d = engine.det_and_cofactor_into(&a, &mut cof);
+        let mut cof = CMat::zeros(5, 5);
+        let d = engine.det_and_cofactor_cols_into(&a, &mut cof, 5);
         assert!(d.dist(c(1e-13, 0.0)) < 1e-25, "LU det survives");
         assert_eq!(cof, cofactor_matrix(&a), "cofactors from the fallback");
+    }
+
+    /// Both entry points restricted to the leading `cols` columns write
+    /// bitwise the columns of a full run and leave the rest untouched.
+    fn assert_column_restriction(engine: &mut DetCofactor, a: &CMat, cols: usize) {
+        let n = a.rows();
+        let mut full = CMat::zeros(n, n);
+        let d_full = engine.det_and_cofactor_cols_into(a, &mut full, n);
+        let sentinel = c(-7.0, 3.0);
+        let mut part = CMat::from_fn(n, n, |_, _| sentinel);
+        let d_part = engine.det_and_cofactor_cols_into(a, &mut part, cols);
+        assert_eq!(d_full, d_part, "n={n} cols={cols}: same det");
+        let mut only = CMat::from_fn(n, n, |_, _| sentinel);
+        engine.cofactor_cols_into(a, &mut only, cols);
+        for (entry, out) in [("det+cofactor", &part), ("cofactor-only", &only)] {
+            for r in 0..n {
+                for c in 0..cols {
+                    assert_eq!(
+                        out[(r, c)],
+                        full[(r, c)],
+                        "{entry} n={n} cols={cols} ({r},{c}): leading columns bitwise equal"
+                    );
+                }
+                for c in cols..n {
+                    assert_eq!(
+                        out[(r, c)],
+                        sentinel,
+                        "{entry} n={n} cols={cols}: trailing columns untouched"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -484,27 +573,14 @@ mod tests {
         for n in 2..=7 {
             for cols in [0, 1, n / 2, n] {
                 let a = CMat::random(n, n, &mut rng, random_complex);
-                let mut full = CMat::zeros(n, n);
-                let d_full = engine.det_and_cofactor_into(&a, &mut full);
-                let mut part = CMat::zeros(n, n);
-                let d_part = engine.det_and_cofactor_cols_into(&a, &mut part, cols);
-                assert_eq!(d_full, d_part, "n={n} cols={cols}: same det");
-                for r in 0..n {
-                    for c in 0..cols {
-                        assert_eq!(
-                            part[(r, c)],
-                            full[(r, c)],
-                            "n={n} cols={cols} ({r},{c}): leading columns bitwise equal"
-                        );
-                    }
-                    for c in cols..n {
-                        assert_eq!(
-                            part[(r, c)],
-                            Complex64::ZERO,
-                            "n={n} cols={cols}: trailing columns untouched"
-                        );
-                    }
-                }
+                assert_column_restriction(&mut engine, &a, cols);
+            }
+        }
+        // The minor fallbacks: singular and wild-pivot past the
+        // closed-form cutoff, singular within it.
+        for a in [rank_deficient_5x5(), wild_pivot_5x5(), rank_one_3x3()] {
+            for cols in 0..=a.rows() {
+                assert_column_restriction(&mut engine, &a, cols);
             }
         }
     }
@@ -516,7 +592,7 @@ mod tests {
         for &n in &[4usize, 6, 3, 6, 8, 4] {
             let a = CMat::random(n, n, &mut rng, random_complex);
             let mut cof = CMat::zeros(n, n);
-            engine.det_and_cofactor_into(&a, &mut cof);
+            engine.det_and_cofactor_cols_into(&a, &mut cof, n);
             let c_ref = cofactor_matrix(&a);
             let scale = c_ref.max_norm().max(1.0);
             assert!(

@@ -39,9 +39,7 @@ mod workspace;
 
 pub use cancel::CancelToken;
 pub use homotopy::{Homotopy, LinearHomotopy};
-pub use newton::{
-    newton_correct, newton_correct_with, newton_step_with, NewtonOutcome, NewtonStep,
-};
+pub use newton::{newton_correct, newton_correct_with, NewtonOutcome};
 pub use path::{track_all, track_path, track_path_with, PathResult, PathStatus};
 pub use predictor::{tangent, tangent_into, Predictor};
 pub use settings::{RetrackPolicy, TrackSettings};

@@ -13,7 +13,10 @@ use pieri_num::Complex64;
 pub struct NewtonOutcome {
     /// True when the last update step was below the requested tolerance.
     pub converged: bool,
-    /// `‖H(x,t)‖∞` after the final iteration.
+    /// `‖H(x,t)‖∞` at the last evaluated point: the iterate the final
+    /// update started from, since the corrector does not evaluate again
+    /// after its last update. `∞` when no iteration ran. A caller that
+    /// needs the residual at the corrected `x` evaluates it there.
     pub residual: f64,
     /// Size of the last Newton update `‖Δx‖∞`.
     pub last_step: f64,
@@ -49,13 +52,12 @@ pub fn newton_correct<H: Homotopy + ?Sized>(
 /// Each iteration makes one fused [`Homotopy::eval_and_jacobian`] call
 /// (one condition-matrix build instead of two for determinantal
 /// homotopies), negates the residual directly into the solve buffer and
-/// solves in place on the reused LU storage. Convergence is detected at
-/// the top of the following iteration, whose fused evaluation doubles as
-/// the final-residual computation — no separate `eval` call after
-/// convergence. `iters` reports the number of Newton iterations
-/// performed; every one of them applied an update to `x` except a final
-/// iteration that found the Jacobian singular (which still did the
-/// evaluation work it is billed for).
+/// solves in place on the reused LU storage. Convergence is tested on
+/// the update just applied, and the routine returns at once: the
+/// corrected point is never evaluated again, so `iters` equals the
+/// number of fused evaluations. Every iteration applied an update to `x`
+/// except a final one that found the Jacobian singular (which still did
+/// the evaluation work it is billed for).
 pub fn newton_correct_with<H: Homotopy + ?Sized>(
     h: &H,
     x: &mut [Complex64],
@@ -76,25 +78,15 @@ pub fn newton_correct_with<H: Homotopy + ?Sized>(
         ..
     } = ws;
     let mut last_step = f64::INFINITY;
-    let mut updates = 0usize;
 
-    for _ in 0..max_iters {
+    for iters in 1..=max_iters {
         h.eval_and_jacobian(x, t, fx, jac, scratch);
-        if last_step <= tol * (1.0 + inf_norm(x)) {
-            return NewtonOutcome {
-                converged: true,
-                residual: inf_norm(fx),
-                last_step,
-                iters: updates,
-                singular: false,
-            };
-        }
         if Lu::factor_into(jac, lu).is_err() {
             return NewtonOutcome {
                 converged: false,
                 residual: inf_norm(fx),
                 last_step,
-                iters: updates + 1,
+                iters,
                 singular: true,
             };
         }
@@ -105,84 +97,26 @@ pub fn newton_correct_with<H: Homotopy + ?Sized>(
         for (xi, di) in x.iter_mut().zip(rhs.iter()) {
             *xi += *di;
         }
-        updates += 1;
         let prev_step = last_step;
         last_step = inf_norm(rhs);
-        if last_step > 4.0 * prev_step {
-            // Diverging iteration: bail out, the predictor overshot.
-            break;
+        let converged = last_step <= tol * (1.0 + inf_norm(x));
+        // A growing update is a diverging iteration (the predictor
+        // overshot): more steps only waste time.
+        if converged || last_step > 4.0 * prev_step || iters == max_iters {
+            return NewtonOutcome {
+                converged,
+                residual: inf_norm(fx),
+                last_step,
+                iters,
+                singular: false,
+            };
         }
     }
-    // Budget exhausted or diverging: one more fused evaluation for the
-    // final residual (the update that just landed may still have
-    // converged). The fused call keeps this exit allocation-free — a
-    // rejected correction runs it on every predictor retry.
-    h.eval_and_jacobian(x, t, fx, jac, scratch);
     NewtonOutcome {
-        converged: last_step <= tol * (1.0 + inf_norm(x)),
-        residual: inf_norm(fx),
+        converged: false,
+        residual: f64::INFINITY,
         last_step,
-        iters: updates,
-        singular: false,
-    }
-}
-
-/// Outcome of one explicit Newton step (see [`newton_step_with`]).
-#[derive(Debug, Clone, Copy)]
-pub struct NewtonStep {
-    /// `‖H(x, t)‖∞` at the **input** point (before the update).
-    pub residual: f64,
-    /// `‖Δx‖∞` of the applied update (`0` when singular).
-    pub step: f64,
-    /// True when the Jacobian at the input was singular to working
-    /// precision (no update was applied).
-    pub singular: bool,
-}
-
-/// One explicit Newton step on `x ↦ H(x, t)` at fixed `t`, updating `x`
-/// in place: a single fused `eval_and_jacobian` + one LU solve, nothing
-/// else — no convergence check, no trailing residual evaluation.
-///
-/// This is the primitive the a-posteriori certifier builds its two-step
-/// α-estimates from: it needs the residual at the input point and the
-/// update norm, and paying [`newton_correct_with`]'s extra exit
-/// evaluation twice per certificate would roughly double the cost.
-pub fn newton_step_with<H: Homotopy + ?Sized>(
-    h: &H,
-    x: &mut [Complex64],
-    t: f64,
-    ws: &mut TrackWorkspace,
-) -> NewtonStep {
-    let n = h.dim();
-    debug_assert_eq!(x.len(), n);
-    ws.ensure(n);
-    let TrackWorkspace {
-        fx,
-        rhs,
-        jac,
-        lu,
-        scratch,
-        ..
-    } = ws;
-    h.eval_and_jacobian(x, t, fx, jac, scratch);
-    let residual = inf_norm(fx);
-    if Lu::factor_into(jac, lu).is_err() {
-        return NewtonStep {
-            residual,
-            step: 0.0,
-            singular: true,
-        };
-    }
-    for (r, f) in rhs.iter_mut().zip(fx.iter()) {
-        *r = -*f;
-    }
-    lu.solve_in_place(rhs);
-    for (xi, di) in x.iter_mut().zip(rhs.iter()) {
-        *xi += *di;
-    }
-    NewtonStep {
-        residual,
-        step: inf_norm(rhs),
+        iters: 0,
         singular: false,
     }
 }

@@ -321,6 +321,13 @@ fn drive<H: Homotopy + ?Sized>(
         ws,
     );
     p.newton_total += out.iters;
+    // The corrector stops without evaluating its final iterate; the
+    // endpoint residual is that one evaluation, made once per path.
+    let residual = {
+        let (fx, jac, scratch) = ws.eval_buffers();
+        h.eval_and_jacobian(&p.x, 1.0, fx, jac, scratch);
+        inf_norm(fx)
+    };
     // Reject a refinement that jumped far away from the tracked limit:
     // that is Newton snapping a divergent path onto an unrelated root.
     let jump: f64 =
@@ -347,7 +354,7 @@ fn drive<H: Homotopy + ?Sized>(
     } else {
         PathStatus::Failed { at_t: p.t }
     };
-    (status, out.residual)
+    (status, residual)
 }
 
 enum StepOutcome {
