@@ -86,8 +86,7 @@ impl<S: Scalar> SystemEval<S> for TargetConditions {
             }
             // Free coefficients: weight s^d, accumulated per physical
             // entry exactly as `CoeffLayout::eval_map` does.
-            for (slot, &xs) in x.iter().enumerate() {
-                let idx = self.layout.phys_row(slot) * bn + self.layout.col(slot);
+            for ((slot, &xs), &idx) in x.iter().enumerate().zip(self.layout.offsets()) {
                 let w = pow[self.layout.slot_degree(slot)];
                 a[idx] = a[idx] + xs * w;
             }

@@ -18,7 +18,8 @@ use pieri_num::Complex64;
 ///
 /// Unknowns are ordered column-major: column 0's rows first (top to
 /// bottom), then column 1's, etc. The layout also caches per-slot
-/// evaluation data (physical row, column, degree, column degree).
+/// evaluation data (physical row, column, flat offset, degree, column
+/// degree).
 #[derive(Debug, Clone)]
 pub struct CoeffLayout {
     pattern: Pattern,
@@ -26,6 +27,9 @@ pub struct CoeffLayout {
     slots: Vec<(usize, usize)>,
     /// Per-slot physical row (0-indexed) in the (m+p)-row map.
     phys: Vec<usize>,
+    /// Per-slot flat offset `phys·(m+p) + col` of the slot's entry in a
+    /// row-major `(m+p) × (m+p)` condition matrix `[X | L]`.
+    offsets: Vec<usize>,
     /// Per-slot degree `d` (block index of the slot row).
     deg: Vec<usize>,
     /// Per-column degree `d_j` (block index of the bottom pivot).
@@ -49,10 +53,16 @@ impl CoeffLayout {
             }
         }
         let col_deg = (0..p).map(|j| pattern.col_degree(j)).collect();
+        let offsets = phys
+            .iter()
+            .zip(&slots)
+            .map(|(&r, &(_, j))| r * big_n + j)
+            .collect();
         CoeffLayout {
             pattern: pattern.clone(),
             slots,
             phys,
+            offsets,
             deg,
             col_deg,
         }
@@ -108,6 +118,38 @@ impl CoeffLayout {
     #[inline]
     pub fn phys_row(&self, k: usize) -> usize {
         self.phys[k]
+    }
+
+    /// Per-slot flat offsets `phys·(m+p) + col`: where each unknown sits
+    /// in a row-major `(m+p) × (m+p)` condition matrix (or its cofactor
+    /// matrix).
+    #[inline]
+    pub(crate) fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
+    /// Writes one condition's Jacobian row: `row[k]` is the cofactor of
+    /// slot `k`'s entry times the slot weight `weights[k]` (Jacobi's
+    /// formula; each unknown touches exactly one entry).
+    ///
+    /// # Panics
+    /// Panics when `cof` is not `(m+p) × (m+p)` or the slices are not
+    /// `dim()` long.
+    #[inline]
+    pub(crate) fn contract_row(&self, cof: &CMat, weights: &[Complex64], row: &mut [Complex64]) {
+        let big_n = self.pattern.shape().big_n();
+        assert!(
+            cof.rows() == big_n && cof.cols() == big_n,
+            "contract_row: cofactor shape"
+        );
+        assert!(
+            weights.len() == self.dim() && row.len() == self.dim(),
+            "contract_row: slot buffers"
+        );
+        let cof = cof.as_slice();
+        for ((out, &off), &w) in row.iter_mut().zip(&self.offsets).zip(weights) {
+            *out = cof[off] * w;
+        }
     }
 
     /// Degree `d` of slot `k` (the block index of its concatenated row):
@@ -221,7 +263,9 @@ impl CoeffLayout {
     }
 
     /// [`CoeffLayout::eval_map_into`] against precomputed weights (from
-    /// [`CoeffLayout::weights_into`]): no `powi` in the loop, same bits.
+    /// [`CoeffLayout::weights_into`]) into the leading `p` columns of a
+    /// full `(m+p) × (m+p)` condition matrix: no `powi` in the loop, the
+    /// entries addressed through the flat offset table, same bits.
     ///
     /// # Panics
     /// Panics on any buffer/shape mismatch.
@@ -238,20 +282,19 @@ impl CoeffLayout {
         let (big_n, p) = (shape.big_n(), shape.p());
         assert_eq!(top_w.len(), p, "weighted eval: top-pivot buffer");
         assert!(
-            out.rows() == big_n && out.cols() >= p,
+            out.rows() == big_n && out.cols() == big_n,
             "weighted eval: output shape mismatch"
         );
-        for i in 0..big_n {
-            for j in 0..p {
-                out[(i, j)] = Complex64::ZERO;
-            }
+        let out = out.as_mut_slice();
+        for row in out.chunks_exact_mut(big_n) {
+            row[..p].fill(Complex64::ZERO);
         }
-        for j in 0..p {
-            out[(j, j)] += top_w[j];
+        for (j, &w) in top_w.iter().enumerate() {
+            out[j * big_n + j] += w;
         }
-        for (k, &xk) in x.iter().enumerate() {
+        for ((&xk, &w), &off) in x.iter().zip(slot_w).zip(&self.offsets) {
             if xk != Complex64::ZERO {
-                out[(self.phys[k], self.slots[k].1)] += xk * slot_w[k];
+                out[off] += xk * w;
             }
         }
     }

@@ -149,11 +149,9 @@ impl PieriHomotopy {
     fn build_fixed_cond(&self, i: usize, x: &[Complex64], cond: &mut CMat) {
         let shape = self.layout.pattern().shape();
         let (n, p, m) = (shape.big_n(), shape.p(), shape.m());
-        let plane = &self.fixed[i].0;
-        for r in 0..n {
-            for c in 0..m {
-                cond[(r, p + c)] = plane[(r, c)];
-            }
+        let plane = self.fixed[i].0.as_slice().chunks_exact(m);
+        for (row, plane_row) in cond.as_mut_slice().chunks_exact_mut(n).zip(plane) {
+            row[p..].copy_from_slice(plane_row);
         }
         self.layout
             .eval_map_weighted_into(x, &self.fixed_slot_w[i], &self.fixed_top_w[i], cond);
@@ -179,9 +177,14 @@ impl PieriHomotopy {
         let (n, p, m) = (shape.big_n(), shape.p(), shape.m());
         let a = Complex64::real(1.0 - t);
         let b = Complex64::real(t);
-        for r in 0..n {
-            for c in 0..m {
-                cond[(r, p + c)] = self.gamma_special[(r, c)] * a + self.target_plane[(r, c)] * b;
+        let planes = self
+            .gamma_special
+            .as_slice()
+            .chunks_exact(m)
+            .zip(self.target_plane.as_slice().chunks_exact(m));
+        for (row, (gs, tp)) in cond.as_mut_slice().chunks_exact_mut(n).zip(planes) {
+            for ((e, &g), &l) in row[p..].iter_mut().zip(gs).zip(tp) {
+                *e = g * a + l * b;
             }
         }
         self.layout.weights_into(s, u, slot_w, top_w);
@@ -296,10 +299,8 @@ impl Homotopy for PieriHomotopy {
             fx[i] = sc
                 .engine
                 .det_and_cofactor_cols_into(&sc.cond, &mut sc.cof, p);
-            for slot in 0..k {
-                jac[(i, slot)] = sc.cof[(self.layout.phys_row(slot), self.layout.col(slot))]
-                    * self.fixed_slot_w[i][slot];
-            }
+            self.layout
+                .contract_row(&sc.cof, &self.fixed_slot_w[i], jac.row_mut(i));
         }
         // Moving condition.
         let (s, u) = self.moving_point(t);
@@ -307,10 +308,8 @@ impl Homotopy for PieriHomotopy {
         fx[k - 1] = sc
             .engine
             .det_and_cofactor_cols_into(&sc.cond, &mut sc.cof, p);
-        for slot in 0..k {
-            jac[(k - 1, slot)] =
-                sc.cof[(self.layout.phys_row(slot), self.layout.col(slot))] * sc.slot_w[slot];
-        }
+        self.layout
+            .contract_row(&sc.cof, &sc.slot_w, jac.row_mut(k - 1));
     }
 
     fn jacobian_and_dt(
@@ -333,10 +332,8 @@ impl Homotopy for PieriHomotopy {
         for i in 0..self.fixed.len() {
             self.build_fixed_cond(i, x, &mut sc.cond);
             sc.engine.cofactor_cols_into(&sc.cond, &mut sc.cof, p);
-            for slot in 0..k {
-                jac[(i, slot)] = sc.cof[(self.layout.phys_row(slot), self.layout.col(slot))]
-                    * self.fixed_slot_w[i][slot];
-            }
+            self.layout
+                .contract_row(&sc.cof, &self.fixed_slot_w[i], jac.row_mut(i));
             ht[i] = Complex64::ZERO;
         }
         // Moving condition: the same cofactor matrix feeds both the
@@ -344,35 +341,34 @@ impl Homotopy for PieriHomotopy {
         // column.
         let (s, u) = self.moving_point(t);
         self.build_moving_cond(x, t, s, u, &mut sc.slot_w, &mut sc.top_w, &mut sc.cond);
-        sc.engine
-            .cofactor_cols_into(&sc.cond, &mut sc.cof, shape.big_n());
-        for slot in 0..k {
-            jac[(k - 1, slot)] =
-                sc.cof[(self.layout.phys_row(slot), self.layout.col(slot))] * sc.slot_w[slot];
-        }
+        let n = shape.big_n();
+        sc.engine.cofactor_cols_into(&sc.cond, &mut sc.cof, n);
+        self.layout
+            .contract_row(&sc.cof, &sc.slot_w, jac.row_mut(k - 1));
+        let cof = sc.cof.as_slice();
         let ds = self.target_point - Complex64::ONE; // dŝ/dt
         let du = Complex64::ONE; // dû/dt
         let mut acc = Complex64::ZERO;
         for j in 0..p {
             let wdt = self.layout.top_pivot_weight_dt(j, s, u, du);
             if wdt != Complex64::ZERO {
-                acc += sc.cof[(j, j)] * wdt;
+                acc += cof[j * n + j] * wdt;
             }
         }
-        for slot in 0..k {
-            if x[slot] == Complex64::ZERO {
+        for (slot, (&xs, &off)) in x.iter().zip(self.layout.offsets()).enumerate() {
+            if xs == Complex64::ZERO {
                 continue;
             }
             let wdt = self.layout.weight_dt(slot, s, u, ds, du);
             if wdt != Complex64::ZERO {
-                acc += sc.cof[(self.layout.phys_row(slot), self.layout.col(slot))] * x[slot] * wdt;
+                acc += cof[off] * xs * wdt;
             }
         }
-        for r in 0..shape.big_n() {
-            for c in 0..shape.m() {
-                let v = self.dm[(r, c)];
+        let dm = self.dm.as_slice().chunks_exact(shape.m());
+        for (cof_row, dm_row) in cof.chunks_exact(n).zip(dm) {
+            for (&cf, &v) in cof_row[p..].iter().zip(dm_row) {
                 if v != Complex64::ZERO {
-                    acc += sc.cof[(r, p + c)] * v;
+                    acc += cf * v;
                 }
             }
         }

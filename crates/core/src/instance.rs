@@ -103,9 +103,13 @@ impl InstanceHomotopy {
         let (gr, l, _, _) = &self.conditions[i];
         let a = Complex64::real(1.0 - t);
         let b = Complex64::real(t);
-        for r in 0..n {
-            for c in 0..m {
-                cond[(r, p + c)] = gr[(r, c)] * a + l[(r, c)] * b;
+        let planes = gr
+            .as_slice()
+            .chunks_exact(m)
+            .zip(l.as_slice().chunks_exact(m));
+        for (row, (gr_row, l_row)) in cond.as_mut_slice().chunks_exact_mut(n).zip(planes) {
+            for ((e, &g), &l) in row[p..].iter_mut().zip(gr_row).zip(l_row) {
+                *e = g * a + l * b;
             }
         }
         self.layout
@@ -206,10 +210,8 @@ impl Homotopy for InstanceHomotopy {
             fx[i] = sc
                 .engine
                 .det_and_cofactor_cols_into(&sc.cond, &mut sc.cof, p);
-            for slot in 0..k {
-                jac[(i, slot)] =
-                    sc.cof[(self.layout.phys_row(slot), self.layout.col(slot))] * sc.slot_w[slot];
-            }
+            self.layout
+                .contract_row(&sc.cof, &sc.slot_w, jac.row_mut(i));
         }
     }
 
@@ -228,35 +230,32 @@ impl Homotopy for InstanceHomotopy {
         let p = shape.p();
         let sc = scratch.get_or_insert_with(CondScratch::new);
         sc.ensure(shape.big_n(), k, p);
+        let n = shape.big_n();
         for i in 0..self.conditions.len() {
             let (sigma, dsigma) = self.point_at(i, t);
             self.build_cond(i, x, t, sigma, &mut sc.slot_w, &mut sc.top_w, &mut sc.cond);
-            sc.engine
-                .cofactor_cols_into(&sc.cond, &mut sc.cof, shape.big_n());
+            sc.engine.cofactor_cols_into(&sc.cond, &mut sc.cof, n);
             // Jacobian row and ∂H/∂t entry from the same cofactors.
-            for slot in 0..k {
-                jac[(i, slot)] =
-                    sc.cof[(self.layout.phys_row(slot), self.layout.col(slot))] * sc.slot_w[slot];
-            }
+            self.layout
+                .contract_row(&sc.cof, &sc.slot_w, jac.row_mut(i));
+            let cof = sc.cof.as_slice();
             let mut acc = Complex64::ZERO;
-            for slot in 0..k {
-                if x[slot] == Complex64::ZERO {
+            for (slot, (&xs, &off)) in x.iter().zip(self.layout.offsets()).enumerate() {
+                if xs == Complex64::ZERO {
                     continue;
                 }
                 let wdt =
                     self.layout
                         .weight_dt(slot, sigma, Complex64::ONE, dsigma, Complex64::ZERO);
                 if wdt != Complex64::ZERO {
-                    acc +=
-                        sc.cof[(self.layout.phys_row(slot), self.layout.col(slot))] * x[slot] * wdt;
+                    acc += cof[off] * xs * wdt;
                 }
             }
-            let dm = &self.dplanes[i];
-            for r in 0..shape.big_n() {
-                for c in 0..shape.m() {
-                    let v = dm[(r, c)];
+            let dm = self.dplanes[i].as_slice().chunks_exact(shape.m());
+            for (cof_row, dm_row) in cof.chunks_exact(n).zip(dm) {
+                for (&cf, &v) in cof_row[p..].iter().zip(dm_row) {
                     if v != Complex64::ZERO {
-                        acc += sc.cof[(r, p + c)] * v;
+                        acc += cf * v;
                     }
                 }
             }

@@ -20,16 +20,22 @@
 //! functions below evaluate every cofactor from its own minor: `O(n⁵)`,
 //! but unconditionally stable. They are the reference [`DetCofactor`] is
 //! tested against. The engine is what the homotopy kernels call: up to
-//! 4×4 it reads closed-form minors straight from the matrix, and past
-//! that it takes the cofactors from triangular solves against one LU
-//! factorisation (`O(n³)`), falling back to the minors only when the
-//! pivots signal near-singularity. The matrices are tiny (`n = m+p ≤ 8`
-//! in every experiment of the paper). The `kernels` criterion bench times
-//! the engine inside the fused `eval_jacobian` and `tangent` kernels.
+//! 4×4 it reads closed-form minors straight from the matrix — at 4×4
+//! the 18 2×2 minors that its 3×3 minors share are computed once — and
+//! past that it takes the cofactors from triangular solves against one
+//! LU factorisation (`O(n³)`), falling back to the minors only when the
+//! pivots signal near-singularity. Up to 4×4 the residual determinant
+//! comes from the LU elimination routine run on a stack buffer; that
+//! routine builds one Baudin–Smith divisor per pivot, so a column's
+//! multipliers share the divisor-only half of their divisions. The
+//! matrices are tiny (`n = m+p ≤ 8` in every experiment of the paper).
+//! The `kernels` criterion bench times the engine inside the fused
+//! `eval_jacobian` and `tangent` kernels; the `linalg` bench times it
+//! alone on a 4×4 matrix.
 
-use crate::lu::{Lu, LuError};
+use crate::lu::{eliminate, pivot_product, Lu, LuError};
 use crate::matrix::CMat;
-use pieri_num::Complex64;
+use pieri_num::{Complex64, Divisor};
 
 /// Determinant computed by recursive cofactor expansion.
 ///
@@ -64,13 +70,98 @@ fn det_closed_form(n: usize, m: impl Fn(usize, usize) -> Complex64) -> Complex64
     match n {
         0 => Complex64::ONE,
         1 => m(0, 0),
-        2 => m(0, 0) * m(1, 1) - m(0, 1) * m(1, 0),
-        3 => {
-            m(0, 0) * (m(1, 1) * m(2, 2) - m(1, 2) * m(2, 1))
-                - m(0, 1) * (m(1, 0) * m(2, 2) - m(1, 2) * m(2, 0))
-                + m(0, 2) * (m(1, 0) * m(2, 1) - m(1, 1) * m(2, 0))
-        }
+        2 => det_2x2(m),
+        3 => expand_3x3(|j| m(0, j), |x, y| det_2x2(|i, j| m(1 + i, [x, y][j]))),
         _ => unreachable!("closed form covers n ≤ 3"),
+    }
+}
+
+/// The 2×2 determinant `m(0,0)·m(1,1) − m(0,1)·m(1,0)`.
+#[inline(always)]
+fn det_2x2(m: impl Fn(usize, usize) -> Complex64) -> Complex64 {
+    m(0, 0) * m(1, 1) - m(0, 1) * m(1, 0)
+}
+
+/// First-row expansion of a 3×3 determinant: `first(j)` is entry
+/// `(0, j)` and `minor(x, y)` the 2×2 minor of rows 1–2 on columns
+/// `x < y`. [`det_closed_form`] and the engine's shared-minor 4×4
+/// cofactors both expand through this one expression.
+#[inline(always)]
+fn expand_3x3(
+    first: impl Fn(usize) -> Complex64,
+    minor: impl Fn(usize, usize) -> Complex64,
+) -> Complex64 {
+    first(0) * minor(1, 2) - first(1) * minor(0, 2) + first(2) * minor(0, 1)
+}
+
+/// The column pairs `x < y` of a 4×4 matrix, in the order the engine
+/// stores its shared 2×2 minors.
+const COL_PAIRS: [(usize, usize); 6] = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)];
+
+/// Position of the column pair `x < y` in [`COL_PAIRS`].
+#[inline(always)]
+fn col_pair(x: usize, y: usize) -> usize {
+    match (x, y) {
+        (0, 1) => 0,
+        (0, 2) => 1,
+        (0, 3) => 2,
+        (1, 2) => 3,
+        (1, 3) => 4,
+        _ => 5,
+    }
+}
+
+/// The leading `cols` cofactor columns of a 4×4 matrix from its shared
+/// 2×2 minors. The 3×3 minor that drops row `r` expands along its first
+/// row into 2×2 minors of its last two rows: rows {2,3} for `r ≤ 1`,
+/// {1,3} for `r = 2` and {1,2} for `r = 3`. Those 3 row pairs times the
+/// 6 column pairs are computed once — 18 minors instead of three per
+/// cofactor (24 for two columns, 48 for four) — and every 3×3 minor
+/// expands from them through [`det_2x2`] and [`expand_3x3`], the
+/// expressions [`det_closed_form`] evaluates: bitwise the entries of
+/// [`cofactor_matrix`].
+fn cofactors_4x4(a: &CMat, cof: &mut CMat, cols: usize) {
+    const ROW_PAIRS: [(usize, usize); 3] = [(2, 3), (1, 3), (1, 2)];
+    // The columns left once column `c` is dropped, in order.
+    const OTHER_COLS: [[usize; 3]; 4] = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]];
+    let e = |i: usize, j: usize| a[(i, j)];
+    let mut minors = [[Complex64::ZERO; 6]; 3];
+    for (row, &(r1, r2)) in minors.iter_mut().zip(&ROW_PAIRS) {
+        for (minor, &(x, y)) in row.iter_mut().zip(&COL_PAIRS) {
+            *minor = det_2x2(|i, j| e([r1, r2][i], [x, y][j]));
+        }
+    }
+    for r in 0..4 {
+        // First remaining row of the minor, and its row pair.
+        let (first, pair) = match r {
+            0 => (1, 0),
+            1 => (0, 0),
+            2 => (0, 1),
+            _ => (0, 2),
+        };
+        let minors = &minors[pair];
+        for c in 0..cols {
+            let js = OTHER_COLS[c];
+            let d = expand_3x3(|j| e(first, js[j]), |x, y| minors[col_pair(js[x], js[y])]);
+            cof[(r, c)] = d.scale(cofactor_sign(r, c));
+        }
+    }
+}
+
+/// Determinant of an at most 4×4 matrix by [`eliminate`], the routine
+/// behind [`Lu::factor_into`], on a stack copy: bitwise [`crate::det`],
+/// with no heap-backed factorisation slot. Singular input reports `0`.
+fn small_det(a: &CMat) -> Complex64 {
+    let n = a.rows();
+    let mut buf = [Complex64::ZERO; 16];
+    let buf = &mut buf[..n * n];
+    buf.copy_from_slice(a.as_slice());
+    let mut ipiv = [0; 4];
+    let mut divs = [Divisor::default(); 4];
+    match eliminate(buf, n, &mut ipiv[..n], &mut divs[..n]) {
+        Ok(piv) => pivot_product(piv.sign, buf, n),
+        // Elimination only ever reports singularity.
+        Err(_) => Complex64::ZERO,
     }
 }
 
@@ -137,7 +228,12 @@ pub const FUSED_PIVOT_RATIO_LIMIT: f64 = 1e12;
 ///
 /// Up to 4×4 the cofactors are closed-form minors read straight from the
 /// matrix: no solves, no copies, unconditionally stable, and `m + p = 4`
-/// is the most common condition-matrix size. Past that, one LU
+/// is the most common condition-matrix size. At 4×4 every 3×3 minor
+/// expands from the 2×2 minors of row pairs {2,3}, {1,3} and {1,2}; those
+/// 18 shared minors are computed once per call. The determinant at these
+/// sizes comes from the LU elimination routine behind
+/// [`Lu::factor_into`], run on a 4×4 stack buffer with one hoisted
+/// divisor per pivot, so it is bitwise [`crate::det`]. Past that, one LU
 /// factorisation yields the determinant (product of pivots) *and* every
 /// cofactor entry: column `c` of the cofactor matrix is `det(A) · y`
 /// where `Aᵀ·y = e_c`, i.e. two triangular solves per column against the
@@ -206,11 +302,7 @@ impl DetCofactor {
         // product is markedly more accurate than a Laplace expansion,
         // whose four large terms cancel to the tiny value. This also
         // keeps the fused residual bitwise identical to [`crate::det`].
-        match Lu::factor_into(a, &mut self.lu) {
-            Ok(()) => self.lu.det(),
-            Err(LuError::Singular { .. }) => Complex64::ZERO,
-            Err(LuError::NotSquare) => unreachable!("`cofactors` asserted squareness"),
-        }
+        small_det(a)
     }
 
     /// Writes the leading `cols` columns of the cofactor matrix of `a`
@@ -238,7 +330,11 @@ impl DetCofactor {
         );
         assert!(cols <= a.rows(), "DetCofactor: column range");
         let n = a.rows();
-        if n <= 4 {
+        if n == 4 {
+            cofactors_4x4(a, cof, cols);
+            return None;
+        }
+        if n < 4 {
             for r in 0..n {
                 for c in 0..cols {
                     // Minor (r, c) read in place: skip row r and column c.
@@ -488,6 +584,17 @@ mod tests {
         CMat::from_fn(3, 3, |i, j| c((i + 1) as f64 * (j + 1) as f64, 0.0))
     }
 
+    /// Rank 3 at n = 4 (shared-minor cofactors, singular LU): row 2 is
+    /// row 0 + row 1.
+    fn rank_deficient_4x4() -> CMat {
+        CMat::from_rows(&[
+            vec![c(1.0, 0.5), c(2.0, 0.0), c(-1.0, 1.0), c(0.25, 0.0)],
+            vec![c(0.0, -1.0), c(1.5, 2.0), c(3.0, 0.0), c(-2.0, 0.5)],
+            vec![c(1.0, -0.5), c(3.5, 2.0), c(2.0, 1.0), c(-1.75, 0.5)],
+            vec![c(0.5, 0.0), c(-1.0, 1.0), c(0.0, 2.0), c(1.0, 1.0)],
+        ])
+    }
+
     #[test]
     fn fused_engine_falls_back_on_singular_input() {
         // The fallback must reproduce the minor-based cofactor bitwise
@@ -515,6 +622,7 @@ mod tests {
             let mut cof = CMat::zeros(n, n);
             let d = engine.det_and_cofactor_cols_into(&a, &mut cof, n);
             assert_eq!(cof, cofactor_matrix(&a), "n={n}: bitwise minors");
+            assert_eq!(d, lu::det(&a), "n={n}: bitwise the LU determinant");
             let d_ref = det_via_minors(&a);
             assert!(d.dist(d_ref) < 1e-12 * (1.0 + d_ref.norm()), "n={n}");
         }
@@ -540,6 +648,10 @@ mod tests {
         let n = a.rows();
         let mut full = CMat::zeros(n, n);
         let d_full = engine.det_and_cofactor_cols_into(a, &mut full, n);
+        assert_eq!(d_full, lu::det(a), "n={n}: bitwise the LU determinant");
+        if n <= 4 {
+            assert_eq!(full, cofactor_matrix(a), "n={n}: bitwise the minors");
+        }
         let sentinel = c(-7.0, 3.0);
         let mut part = CMat::from_fn(n, n, |_, _| sentinel);
         let d_part = engine.det_and_cofactor_cols_into(a, &mut part, cols);
@@ -577,8 +689,15 @@ mod tests {
             }
         }
         // The minor fallbacks: singular and wild-pivot past the
-        // closed-form cutoff, singular within it.
-        for a in [rank_deficient_5x5(), wild_pivot_5x5(), rank_one_3x3()] {
+        // closed-form cutoff, singular within it, and the singular and
+        // all-zero inputs of the shared-minor 4×4 route.
+        for a in [
+            rank_deficient_5x5(),
+            wild_pivot_5x5(),
+            rank_one_3x3(),
+            rank_deficient_4x4(),
+            CMat::zeros(4, 4),
+        ] {
             for cols in 0..=a.rows() {
                 assert_column_restriction(&mut engine, &a, cols);
             }

@@ -17,7 +17,8 @@
 //!   determinantal intersection conditions without symbolic expansion; this
 //!   is the kernel of the Pieri homotopy evaluator;
 //! * [`DetCofactor`] — the fused det+cofactor engine behind the homotopy
-//!   fast path: one LU factorisation per condition matrix yields the
+//!   fast path: closed-form minors up to 4×4 (shared 2×2 minors at 4×4),
+//!   and past that one LU factorisation per condition matrix yields the
 //!   determinant and every cofactor entry (`O(n³)`), with an automatic
 //!   fall-back to the stable minor expansion near singularity.
 

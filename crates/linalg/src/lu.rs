@@ -3,9 +3,19 @@
 //! lint:hot-path — `factor_into`/`solve_in_place` run inside every
 //! Newton iteration; steady state reuses caller buffers, and the
 //! allocating constructors/wrappers below are individually justified.
+//!
+//! One elimination routine, [`eliminate`], works on a row-major slice:
+//! [`Lu::factor_into`] runs it on the factorisation's own buffer and
+//! [`crate::DetCofactor`] on a 4×4 stack buffer for its residual
+//! determinant. It walks rows as slices (`split_at_mut` for the pivot
+//! row, `chunks_exact_mut` for the rows below) and builds one
+//! [`Divisor`] per pivot: the divisor-only half of the Baudin–Smith
+//! division is computed once per column instead of once per multiplier,
+//! and [`Lu`] keeps the divisors so the triangular solves reuse them for
+//! their diagonal divisions. Every quotient is bitwise the one `/` gives.
 
 use crate::matrix::CMat;
-use pieri_num::Complex64;
+use pieri_num::{Complex64, Divisor};
 
 /// Failure modes of [`Lu::factor`] and its solvers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,12 +49,16 @@ impl std::error::Error for LuError {}
 /// `ipiv` records the row swapped at each elimination step (LAPACK-style
 /// swap replay, so permutations apply in place without a gather buffer)
 /// and `sign` the permutation parity, so the determinant comes out of
-/// [`Lu::det`] for free. The storage is reusable: [`Lu::factor_into`]
-/// refactors a new matrix into an existing `Lu` without allocating.
+/// [`Lu::det`] for free. The pivot divisors built during elimination are
+/// kept for the solves' diagonal divisions. The storage is reusable:
+/// [`Lu::factor_into`] refactors a new matrix into an existing `Lu`
+/// without allocating.
 #[derive(Debug, Clone)]
 pub struct Lu {
     lu: CMat,
     ipiv: Vec<usize>,
+    /// One divisor per pivot `U[k][k]`, for the solves' diagonal divisions.
+    divs: Vec<Divisor>,
     sign: f64,
     /// Largest pivot modulus observed (for condition diagnostics).
     max_pivot: f64,
@@ -60,6 +74,9 @@ impl Default for Lu {
             // lint:allow(hot-path-alloc) — empty-capacity constructor in
             // a one-time Default impl; nothing is allocated until use.
             ipiv: Vec::new(),
+            // lint:allow(hot-path-alloc) — as `ipiv`: empty capacity in a
+            // one-time Default impl, grown on first use.
+            divs: Vec::new(),
             sign: 1.0,
             max_pivot: 0.0,
             min_pivot: f64::INFINITY,
@@ -96,77 +113,12 @@ impl Lu {
             // dimension change) grows the slot; steady state copies.
             into.lu = a.clone();
         }
-        into.ipiv.clear();
         into.ipiv.resize(n, 0);
-        into.sign = 1.0;
-        into.max_pivot = 0.0;
-        into.min_pivot = f64::INFINITY;
-        let lu = &mut into.lu;
-        // Scale for the singularity threshold: one sqrt over the whole
-        // matrix instead of `hypot` per entry; fall back to the
-        // overflow/underflow-safe per-entry form when squaring leaves
-        // the finite range.
-        let scale_sq = lu
-            .as_slice()
-            .iter()
-            .map(|z| z.norm_sqr())
-            .fold(0.0f64, f64::max);
-        let scale = if scale_sq > 0.0 && scale_sq.is_finite() {
-            scale_sq.sqrt()
-        } else {
-            lu.max_norm().max(f64::MIN_POSITIVE)
-        };
-        let tol = scale * 1e-14 * n as f64;
-
-        for k in 0..n {
-            // Partial pivoting: pick the largest modulus in column k.
-            // Squared moduli avoid a `hypot` per candidate; the sqrt-
-            // based scan below handles the under/overflow regime where
-            // squares leave the finite nonzero range.
-            let mut best = k;
-            let mut best_sq = lu[(k, k)].norm_sqr();
-            for i in k + 1..n {
-                let v = lu[(i, k)].norm_sqr();
-                if v > best_sq {
-                    best = i;
-                    best_sq = v;
-                }
-            }
-            let mut best_norm = best_sq.sqrt();
-            if best_sq == 0.0 || !best_sq.is_finite() {
-                best = k;
-                best_norm = lu[(k, k)].norm();
-                for i in k + 1..n {
-                    let v = lu[(i, k)].norm();
-                    if v > best_norm {
-                        best = i;
-                        best_norm = v;
-                    }
-                }
-            }
-            if best_norm <= tol {
-                return Err(LuError::Singular { step: k });
-            }
-            into.ipiv[k] = best;
-            if best != k {
-                lu.swap_rows(k, best);
-                into.sign = -into.sign;
-            }
-            into.max_pivot = into.max_pivot.max(best_norm);
-            into.min_pivot = into.min_pivot.min(best_norm);
-            let pivot = lu[(k, k)];
-            for i in k + 1..n {
-                let m = lu[(i, k)] / pivot;
-                lu[(i, k)] = m;
-                if m == Complex64::ZERO {
-                    continue;
-                }
-                for j in k + 1..n {
-                    let u = lu[(k, j)];
-                    lu[(i, j)] -= m * u;
-                }
-            }
-        }
+        into.divs.resize_with(n, Divisor::default);
+        let piv = eliminate(into.lu.as_mut_slice(), n, &mut into.ipiv, &mut into.divs)?;
+        into.sign = piv.sign;
+        into.max_pivot = piv.max;
+        into.min_pivot = piv.min;
         Ok(())
     }
 
@@ -177,11 +129,7 @@ impl Lu {
 
     /// Determinant of the original matrix.
     pub fn det(&self) -> Complex64 {
-        let mut d = Complex64::real(self.sign);
-        for i in 0..self.dim() {
-            d *= self.lu[(i, i)];
-        }
-        d
+        pivot_product(self.sign, self.lu.as_slice(), self.dim())
     }
 
     /// Ratio of largest to smallest pivot — a cheap (crude) growth-factor
@@ -215,27 +163,29 @@ impl Lu {
         let n = self.dim();
         assert_eq!(b.len(), n, "solve_in_place: rhs length mismatch");
         // Apply the permutation by replaying the elimination-step swaps.
-        for k in 0..n {
-            let p = self.ipiv[k];
+        for (k, &p) in self.ipiv.iter().enumerate() {
             if p != k {
                 b.swap(k, p);
             }
         }
+        let lu = self.lu.as_slice();
         // Forward substitution with unit-diagonal L.
         for i in 1..n {
-            let mut acc = b[i];
-            for j in 0..i {
-                acc -= self.lu[(i, j)] * b[j];
+            let (solved, rest) = b.split_at_mut(i);
+            let mut acc = rest[0];
+            for (l, &x) in lu[i * n..i * n + i].iter().zip(solved.iter()) {
+                acc -= *l * x;
             }
-            b[i] = acc;
+            rest[0] = acc;
         }
         // Back substitution with U.
         for i in (0..n).rev() {
-            let mut acc = b[i];
-            for j in i + 1..n {
-                acc -= self.lu[(i, j)] * b[j];
+            let (head, solved) = b.split_at_mut(i + 1);
+            let mut acc = head[i];
+            for (u, &x) in lu[i * n + i + 1..(i + 1) * n].iter().zip(solved.iter()) {
+                acc -= *u * x;
             }
-            b[i] = acc / self.lu[(i, i)];
+            head[i] = self.divs[i].divide(acc);
         }
     }
 
@@ -253,25 +203,29 @@ impl Lu {
     pub fn solve_transpose_in_place(&self, b: &mut [Complex64]) {
         let n = self.dim();
         assert_eq!(b.len(), n, "solve_transpose_in_place: length mismatch");
-        // Forward substitution with Uᵀ (diagonal division).
+        let lu = self.lu.as_slice();
+        // Forward substitution with Uᵀ (diagonal division): column i of
+        // U above the diagonal.
         for i in 0..n {
-            let mut acc = b[i];
-            for j in 0..i {
-                acc -= self.lu[(j, i)] * b[j];
+            let (solved, rest) = b.split_at_mut(i);
+            let mut acc = rest[0];
+            for (u, &x) in lu[i..].iter().step_by(n).zip(solved.iter()) {
+                acc -= *u * x;
             }
-            b[i] = acc / self.lu[(i, i)];
+            rest[0] = self.divs[i].divide(acc);
         }
-        // Back substitution with Lᵀ (unit diagonal).
+        // Back substitution with Lᵀ (unit diagonal): column i of L below
+        // the diagonal.
         for i in (0..n).rev() {
-            let mut acc = b[i];
-            for j in i + 1..n {
-                acc -= self.lu[(j, i)] * b[j];
+            let (head, solved) = b.split_at_mut(i + 1);
+            let mut acc = head[i];
+            for (l, &x) in lu[i * n + i..].iter().step_by(n).skip(1).zip(solved.iter()) {
+                acc -= *l * x;
             }
-            b[i] = acc;
+            head[i] = acc;
         }
         // y = Pᵀ·w: replay the swaps in reverse order.
-        for k in (0..n).rev() {
-            let p = self.ipiv[k];
+        for (k, &p) in self.ipiv.iter().enumerate().rev() {
             if p != k {
                 b.swap(k, p);
             }
@@ -310,7 +264,7 @@ impl Lu {
                 for r in i + 1..n {
                     acc -= self.lu[(i, r)] * out[(r, j)];
                 }
-                out[(i, j)] = acc / self.lu[(i, i)];
+                out[(i, j)] = self.divs[i].divide(acc);
             }
         }
         out
@@ -320,6 +274,124 @@ impl Lu {
     pub fn inverse(&self) -> CMat {
         self.solve_mat(&CMat::identity(self.dim()))
     }
+}
+
+/// Pivot bookkeeping of one [`eliminate`] run.
+pub(crate) struct Pivots {
+    /// Permutation parity, `±1`.
+    pub sign: f64,
+    /// Largest pivot modulus.
+    pub max: f64,
+    /// Smallest pivot modulus.
+    pub min: f64,
+}
+
+/// Partial-pivoting elimination `P·A = L·U` of the row-major `n × n`
+/// matrix in `a`, in place: the routine behind both [`Lu::factor_into`]
+/// and [`crate::DetCofactor`]'s stack-buffer determinant.
+///
+/// `a` leaves holding the packed `L`/`U` factors, `ipiv[k]` the row
+/// swapped into place at step `k` and `divs[k]` the [`Divisor`] of pivot
+/// `U[k][k]`. Singularity is detected against a threshold scaled by the
+/// largest entry of `A`, so the result does not depend on the overall
+/// scale of the matrix. On error the buffers are unspecified.
+///
+/// # Panics
+/// Panics when the buffer lengths are not `n²`, `n` and `n`.
+pub(crate) fn eliminate(
+    a: &mut [Complex64],
+    n: usize,
+    ipiv: &mut [usize],
+    divs: &mut [Divisor],
+) -> Result<Pivots, LuError> {
+    assert!(
+        a.len() == n * n && ipiv.len() == n && divs.len() == n,
+        "eliminate: buffer sizes"
+    );
+    // Scale for the singularity threshold: one sqrt over the whole
+    // matrix instead of `hypot` per entry; fall back to the
+    // overflow/underflow-safe per-entry form when squaring leaves the
+    // finite range.
+    let scale_sq = a.iter().map(|z| z.norm_sqr()).fold(0.0f64, f64::max);
+    let scale = if scale_sq > 0.0 && scale_sq.is_finite() {
+        scale_sq.sqrt()
+    } else {
+        a.iter()
+            .map(|z| z.norm())
+            .fold(0.0, f64::max)
+            .max(f64::MIN_POSITIVE)
+    };
+    let tol = scale * 1e-14 * n as f64;
+    let mut piv = Pivots {
+        sign: 1.0,
+        max: 0.0,
+        min: f64::INFINITY,
+    };
+    for k in 0..n {
+        // Partial pivoting: pick the largest modulus in column k (first
+        // one on ties). Squared moduli avoid a `hypot` per candidate; the
+        // sqrt-based scan below handles the under/overflow regime where
+        // squares leave the finite nonzero range.
+        let at = |i: usize| a[i * n + k];
+        let mut best = k;
+        let mut best_sq = at(k).norm_sqr();
+        for i in k + 1..n {
+            let v = at(i).norm_sqr();
+            if v > best_sq {
+                best = i;
+                best_sq = v;
+            }
+        }
+        let mut best_norm = best_sq.sqrt();
+        if best_sq == 0.0 || !best_sq.is_finite() {
+            best = k;
+            best_norm = at(k).norm();
+            for i in k + 1..n {
+                let v = at(i).norm();
+                if v > best_norm {
+                    best = i;
+                    best_norm = v;
+                }
+            }
+        }
+        if best_norm <= tol {
+            return Err(LuError::Singular { step: k });
+        }
+        ipiv[k] = best;
+        if best != k {
+            let (upper, lower) = a.split_at_mut(best * n);
+            upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
+            piv.sign = -piv.sign;
+        }
+        piv.max = piv.max.max(best_norm);
+        piv.min = piv.min.min(best_norm);
+        let (upper, lower) = a.split_at_mut((k + 1) * n);
+        let pivot_row = &upper[k * n..];
+        let div = Divisor::new(pivot_row[k]);
+        divs[k] = div;
+        let u = &pivot_row[k + 1..];
+        for row in lower.chunks_exact_mut(n) {
+            let m = div.divide(row[k]);
+            row[k] = m;
+            if m == Complex64::ZERO {
+                continue;
+            }
+            for (x, &uk) in row[k + 1..].iter_mut().zip(u) {
+                *x -= m * uk;
+            }
+        }
+    }
+    Ok(piv)
+}
+
+/// The determinant `sign · ∏ U[i][i]` of an eliminated row-major
+/// `n × n` buffer, multiplied in pivot order.
+pub(crate) fn pivot_product(sign: f64, lu: &[Complex64], n: usize) -> Complex64 {
+    let mut d = Complex64::real(sign);
+    for &u in lu.iter().step_by(n + 1) {
+        d *= u;
+    }
+    d
 }
 
 /// Fallible determinant of `A` via LU, returning zero for singular input

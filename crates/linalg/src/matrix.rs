@@ -114,6 +114,12 @@ impl CMat {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// Mutable view of row `i`.
+    #[inline]
+    pub fn row_mut(&mut self, i: usize) -> &mut [Complex64] {
+        &mut self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
     /// Copies column `j` into a vector.
     pub fn col(&self, j: usize) -> Vec<Complex64> {
         (0..self.rows).map(|i| self[(i, j)]).collect()

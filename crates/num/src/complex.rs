@@ -204,90 +204,172 @@ impl Mul for Complex64 {
     }
 }
 
-/// Core of Smith's division `(a + bi) / (c + di)` assuming `|d| <= |c|`,
-/// with the Baudin–Smith underflow refinements: whenever a ratio or a
-/// cross product (`d/c`, `b·r`, `a·r`) underflows to zero, that term is
-/// re-associated (`d·(b/c)` instead of `b·(d/c)`, `(b·t)·r` instead of
-/// `(b·r)·t`, …) so no representable contribution is silently dropped.
-#[inline]
-fn smith_core(a: f64, b: f64, c: f64, d: f64) -> (f64, f64) {
-    let r = d / c;
-    let t = 1.0 / (c + d * r);
-    if r != 0.0 {
-        let br = b * r;
-        let e = if br != 0.0 {
-            (a + br) * t
+// Baudin–Smith pre-scaling thresholds: components at or above
+// `HALF_MAX` are halved, and components at or below `TINY` are
+// multiplied by `BIG`. Both factors are powers of two, so the scaling
+// is exact.
+const HALF_MAX: f64 = 0.5 * f64::MAX;
+const TINY: f64 = f64::MIN_POSITIVE * 2.0 / f64::EPSILON;
+const BIG: f64 = 2.0 / (f64::EPSILON * f64::EPSILON);
+
+/// The divisor-only half of a robust complex division `z / w`: Smith's
+/// algorithm with the scaling and underflow refinements of Baudin &
+/// Smith (*A Robust Complex Division in Scilab*, 2012).
+///
+/// The naive `(ac + bd)/(c² + d²)` formula overflows to `inf`/`NaN`
+/// once the divisor's components approach `1e155` (their squares
+/// exceed `f64::MAX`) and underflows to zero-divides for tiny ones —
+/// exactly the magnitudes the tracker's divergence checks feed in as
+/// paths escape to infinity. Plain Smith fixes those but still loses
+/// the answer when the component ratio itself under- or overflows;
+/// the pre-scaling by powers of two (exact in binary floating point)
+/// and the re-associated cross terms of [`Divisor::divide`] keep every
+/// representable quotient finite and accurate.
+///
+/// [`Divisor::new`] does everything that depends on `w` alone: its
+/// power-of-two scale, the component swap that makes `|d| ≤ |c|`,
+/// Smith's ratio `r = d/c` and `t = 1/(c + d·r)`. [`Divisor::divide`]
+/// then costs no floating-point division for ordinary operands, so a
+/// kernel that divides many numbers by one pivot builds the divisor
+/// once. `z / w` is `Divisor::new(w).divide(z)`. The split keeps every
+/// quotient's bits: the numerator's scale is a power of two too, so the
+/// product of the two scales is exact.
+#[derive(Clone, Copy, Debug)]
+pub struct Divisor {
+    /// Scaled divisor components, swapped so that `|d| ≤ |c|`.
+    c: f64,
+    d: f64,
+    /// Smith's ratio `d / c`.
+    r: f64,
+    /// `1 / (c + d·r)`.
+    t: f64,
+    /// Power of two undoing the divisor's pre-scaling.
+    scale: f64,
+    /// The components were swapped: the quotient's imaginary part is
+    /// negated.
+    swapped: bool,
+    /// `w == 0`: quotients follow IEEE semantics instead.
+    zero: bool,
+}
+
+impl Default for Divisor {
+    /// The divisor `1`.
+    fn default() -> Self {
+        Divisor::new(Complex64::ONE)
+    }
+}
+
+impl Divisor {
+    /// Precomputes the divisor-only half of `z / w` for every `z`.
+    #[inline]
+    pub fn new(w: Complex64) -> Self {
+        if w.re == 0.0 && w.im == 0.0 {
+            return Divisor {
+                c: 0.0,
+                d: 0.0,
+                r: 0.0,
+                t: 0.0,
+                scale: 1.0,
+                swapped: false,
+                zero: true,
+            };
+        }
+        let (mut c, mut d) = (w.re, w.im);
+        let cd = c.abs().max(d.abs());
+        let mut scale = 1.0;
+        if cd >= HALF_MAX {
+            c *= 0.5;
+            d *= 0.5;
+            scale = 0.5;
+        }
+        if cd <= TINY {
+            c *= BIG;
+            d *= BIG;
+            scale = BIG;
+        }
+        let (c, d, swapped) = if d.abs() <= c.abs() {
+            (c, d, false)
         } else {
-            a * t + (b * t) * r
+            (d, c, true)
         };
-        let ar = a * r;
-        let f = if ar != 0.0 {
-            (b - ar) * t
+        let r = d / c;
+        Divisor {
+            c,
+            d,
+            r,
+            t: 1.0 / (c + d * r),
+            scale,
+            swapped,
+            zero: false,
+        }
+    }
+
+    /// The quotient `z / w`, bitwise equal to `z / w` with [`Complex64`]'s
+    /// `/` operator.
+    #[inline]
+    pub fn divide(&self, z: Complex64) -> Complex64 {
+        if self.zero {
+            // IEEE semantics: finite/0 diverges, 0/0 and NaN/0 are NaN.
+            return Complex64::new(z.re / 0.0, z.im / 0.0);
+        }
+        let (mut a, mut b) = (z.re, z.im);
+        let ab = a.abs().max(b.abs());
+        // Quotient = computed · s with s a product of powers of two, so
+        // the rescaling is exact.
+        let mut s = self.scale;
+        if ab >= HALF_MAX {
+            a *= 0.5;
+            b *= 0.5;
+            s *= 2.0;
+        }
+        if ab <= TINY {
+            a *= BIG;
+            b *= BIG;
+            s /= BIG;
+        }
+        let (e, f) = if self.swapped {
+            let (e, f) = self.smith(b, a);
+            (e, -f)
         } else {
-            b * t - (a * t) * r
+            self.smith(a, b)
         };
-        (e, f)
-    } else {
-        ((a + d * (b / c)) * t, (b - d * (a / c)) * t)
+        Complex64::new(e * s, f * s)
+    }
+
+    /// Smith's quotient of the scaled `(a + bi)` by the scaled, swapped
+    /// divisor. Whenever a ratio or a cross product (`d/c`, `b·r`, `a·r`)
+    /// underflows to zero, that term is re-associated (`d·(b/c)` instead
+    /// of `b·(d/c)`, `(b·t)·r` instead of `(b·r)·t`, …) so no
+    /// representable contribution is silently dropped.
+    #[inline]
+    fn smith(&self, a: f64, b: f64) -> (f64, f64) {
+        let (c, d, r, t) = (self.c, self.d, self.r, self.t);
+        if r != 0.0 {
+            let br = b * r;
+            let e = if br != 0.0 {
+                (a + br) * t
+            } else {
+                a * t + (b * t) * r
+            };
+            let ar = a * r;
+            let f = if ar != 0.0 {
+                (b - ar) * t
+            } else {
+                b * t - (a * t) * r
+            };
+            (e, f)
+        } else {
+            ((a + d * (b / c)) * t, (b - d * (a / c)) * t)
+        }
     }
 }
 
 impl Div for Complex64 {
     type Output = Complex64;
-    /// Robust complex division: Smith's algorithm with the scaling and
-    /// underflow refinements of Baudin & Smith (*A Robust Complex
-    /// Division in Scilab*, 2012).
-    ///
-    /// The naive `(ac + bd)/(c² + d²)` formula overflows to `inf`/`NaN`
-    /// once the divisor's components approach `1e155` (their squares
-    /// exceed `f64::MAX`) and underflows to zero-divides for tiny ones —
-    /// exactly the magnitudes the tracker's divergence checks feed in as
-    /// paths escape to infinity. Plain Smith fixes those but still loses
-    /// the answer when the component ratio itself under- or overflows;
-    /// the pre-scaling by powers of two (exact in binary floating point)
-    /// and the re-associated cross terms in [`smith_core`] keep every
-    /// representable quotient finite and accurate.
+    /// Robust complex division; see [`Divisor`].
+    #[inline]
     fn div(self, rhs: Complex64) -> Complex64 {
-        if rhs.re == 0.0 && rhs.im == 0.0 {
-            // IEEE semantics: finite/0 diverges, 0/0 and NaN/0 are NaN.
-            return Complex64::new(self.re / 0.0, self.im / 0.0);
-        }
-        let (mut a, mut b, mut c, mut d) = (self.re, self.im, rhs.re, rhs.im);
-        let ab = a.abs().max(b.abs());
-        let cd = c.abs().max(d.abs());
-        // Result = computed · s; all four scale factors are powers of
-        // two, so the scaling is exact.
-        let mut s = 1.0f64;
-        let half_max = 0.5 * f64::MAX;
-        let tiny = f64::MIN_POSITIVE * 2.0 / f64::EPSILON;
-        let big = 2.0 / (f64::EPSILON * f64::EPSILON);
-        if ab >= half_max {
-            a *= 0.5;
-            b *= 0.5;
-            s *= 2.0;
-        }
-        if cd >= half_max {
-            c *= 0.5;
-            d *= 0.5;
-            s *= 0.5;
-        }
-        if ab <= tiny {
-            a *= big;
-            b *= big;
-            s /= big;
-        }
-        if cd <= tiny {
-            c *= big;
-            d *= big;
-            s *= big;
-        }
-        let (e, f) = if d.abs() <= c.abs() {
-            smith_core(a, b, c, d)
-        } else {
-            let (e, f) = smith_core(b, a, d, c);
-            (e, -f)
-        };
-        Complex64::new(e * s, f * s)
+        Divisor::new(rhs).divide(self)
     }
 }
 
@@ -478,6 +560,144 @@ mod tests {
                 q.dist(x) < 1e-10 * x.norm(),
                 "exponents ({ex},{ey}): {q:?} vs {x:?}"
             );
+        }
+    }
+
+    /// The Baudin–Smith division exactly as it was written before the
+    /// divisor-only half moved into [`Divisor`]: the reference the
+    /// split form must reproduce bit for bit.
+    fn reference_div(z: Complex64, w: Complex64) -> Complex64 {
+        fn smith_core(a: f64, b: f64, c: f64, d: f64) -> (f64, f64) {
+            let r = d / c;
+            let t = 1.0 / (c + d * r);
+            if r != 0.0 {
+                let br = b * r;
+                let e = if br != 0.0 {
+                    (a + br) * t
+                } else {
+                    a * t + (b * t) * r
+                };
+                let ar = a * r;
+                let f = if ar != 0.0 {
+                    (b - ar) * t
+                } else {
+                    b * t - (a * t) * r
+                };
+                (e, f)
+            } else {
+                ((a + d * (b / c)) * t, (b - d * (a / c)) * t)
+            }
+        }
+        if w.re == 0.0 && w.im == 0.0 {
+            return Complex64::new(z.re / 0.0, z.im / 0.0);
+        }
+        let (mut a, mut b, mut c, mut d) = (z.re, z.im, w.re, w.im);
+        let ab = a.abs().max(b.abs());
+        let cd = c.abs().max(d.abs());
+        let mut s = 1.0f64;
+        let half_max = 0.5 * f64::MAX;
+        let tiny = f64::MIN_POSITIVE * 2.0 / f64::EPSILON;
+        let big = 2.0 / (f64::EPSILON * f64::EPSILON);
+        if ab >= half_max {
+            a *= 0.5;
+            b *= 0.5;
+            s *= 2.0;
+        }
+        if cd >= half_max {
+            c *= 0.5;
+            d *= 0.5;
+            s *= 0.5;
+        }
+        if ab <= tiny {
+            a *= big;
+            b *= big;
+            s /= big;
+        }
+        if cd <= tiny {
+            c *= big;
+            d *= big;
+            s *= big;
+        }
+        let (e, f) = if d.abs() <= c.abs() {
+            smith_core(a, b, c, d)
+        } else {
+            let (e, f) = smith_core(b, a, d, c);
+            (e, -f)
+        };
+        Complex64::new(e * s, f * s)
+    }
+
+    /// Bitwise equality of two quotient components; two NaNs match
+    /// whatever their payloads.
+    fn same_bits(x: f64, y: f64) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    fn assert_division_bits(z: Complex64, w: Complex64) {
+        let want = reference_div(z, w);
+        let divisor = Divisor::new(w);
+        for (how, got) in [("/", z / w), ("Divisor", divisor.divide(z))] {
+            assert!(
+                same_bits(got.re, want.re) && same_bits(got.im, want.im),
+                "{how}: ({:e}, {:e}) / ({:e}, {:e}) = ({:e}, {:e}), reference ({:e}, {:e})",
+                z.re,
+                z.im,
+                w.re,
+                w.im,
+                got.re,
+                got.im,
+                want.re,
+                want.im
+            );
+        }
+    }
+
+    #[test]
+    fn division_matches_the_reference_bits_on_an_edge_grid() {
+        let magnitudes = [
+            0.0,
+            f64::from_bits(1),
+            1e-310,
+            1e-300,
+            1.0,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let mut grid: Vec<f64> = magnitudes.iter().flat_map(|&x| [x, -x]).collect();
+        grid.push(f64::NAN);
+        for &a in &grid {
+            for &b in &grid {
+                for &c in &grid {
+                    for &d in &grid {
+                        assert_division_bits(Complex64::new(a, b), Complex64::new(c, d));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn division_matches_the_reference_bits_on_random_pairs() {
+        use crate::random::seeded_rng;
+        use rand::{Rng, RngCore};
+        let mut rng = seeded_rng(0x5eed);
+        for _ in 0..100_000 {
+            // Arbitrary bit patterns reach every exponent, subnormals,
+            // infinities and NaNs; the log-uniform draws concentrate on
+            // the finite range where the Smith branches differ.
+            let component = |rng: &mut rand::rngs::StdRng| {
+                if rng.next_u64() & 1 == 0 {
+                    f64::from_bits(rng.next_u64())
+                } else {
+                    let e: f64 = rng.gen_range(-320.0..=308.0);
+                    let m: f64 = rng.gen_range(-1.0..=1.0);
+                    m * 10f64.powf(e)
+                }
+            };
+            let z = Complex64::new(component(&mut rng), component(&mut rng));
+            let w = Complex64::new(component(&mut rng), component(&mut rng));
+            assert_division_bits(z, w);
         }
     }
 

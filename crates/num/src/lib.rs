@@ -25,7 +25,7 @@ mod random;
 mod scalar;
 
 pub use approx::{approx_eq, approx_eq_tol, ApproxEq, DEFAULT_TOL};
-pub use complex::Complex64;
+pub use complex::{Complex64, Divisor};
 pub use dd::{quick_two_sum, two_prod, two_sum, Dd, DdComplex};
 pub use random::{random_complex, random_gamma, random_real_in, seeded_rng, unit_complex};
 pub use scalar::Scalar;
