@@ -158,7 +158,8 @@ fn bench_track_job(c: &mut Criterion) {
             &(),
             |b, _| {
                 b.iter(|| {
-                    pieri_core::run_job(&problem, &root, &child, &child_sol, &settings)
+                    let mut ws = TrackWorkspace::new();
+                    pieri_core::run_job(&problem, &root, &child, &child_sol, &settings, &mut ws)
                         .1
                         .steps
                 })

@@ -64,7 +64,7 @@ fn bench_determinants(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("lu_det", n), &a, |bch, a| {
             bch.iter(|| det(a))
         });
-        // The ablation of DESIGN.md: cofactor matrices are the stable way
+        // The adjugate ablation: cofactor matrices are the stable way
         // to differentiate determinantal conditions; this measures their
         // O(n^5) cost against the O(n^3) determinant itself.
         group.bench_with_input(BenchmarkId::new("adjugate", n), &a, |bch, a| {

@@ -65,7 +65,8 @@ fn bench_poset_vs_tree_organisation(c: &mut Criterion) {
     // The Section III.C ablation: tree master/slave scheduling versus the
     // level-synchronous poset organisation (barrier per rank, two full
     // levels of solutions live).
-    use pieri_parallel::{solve_by_levels_parallel, solve_tree_parallel};
+    use pieri_core::Poset;
+    use pieri_parallel::{solve_by_levels_prepared, solve_tree_parallel_prepared};
     use pieri_tracker::TrackSettings;
     let mut rng = seeded_rng(92);
     let problem = PieriProblem::random(Shape::new(2, 2, 1), &mut rng);
@@ -73,10 +74,16 @@ fn bench_poset_vs_tree_organisation(c: &mut Criterion) {
     let mut group = c.benchmark_group("poset_vs_tree_221");
     group.sample_size(10);
     group.bench_function("tree_master_2w", |b| {
-        b.iter(|| solve_tree_parallel(&problem, &settings, 2))
+        b.iter(|| {
+            let poset = Poset::build(problem.shape());
+            solve_tree_parallel_prepared(&problem, &poset, &settings, 2)
+        })
     });
     group.bench_function("levels_barrier", |b| {
-        b.iter(|| solve_by_levels_parallel(&problem, &settings))
+        b.iter(|| {
+            let poset = Poset::build(problem.shape());
+            solve_by_levels_prepared(&problem, &poset, &settings)
+        })
     });
     group.bench_function("sequential", |b| b.iter(|| solve(&problem)));
     group.finish();

@@ -4,12 +4,11 @@
 //! request tracks only the `d(m,p,q)` continuation paths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pieri_service::{BuildMode, Engine, EngineConfig, JobRequest};
+use pieri_service::{Engine, EngineConfig, JobRequest};
 
 fn engine() -> Engine {
     Engine::start(EngineConfig {
         workers: 1,
-        build_mode: BuildMode::Sequential,
         ..EngineConfig::default()
     })
 }

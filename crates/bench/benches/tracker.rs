@@ -68,7 +68,10 @@ fn bench_pieri_job(c: &mut Criterion) {
     let child_sol = solution.coeffs[0][..child.rank()].to_vec();
     let settings = TrackSettings::default();
     c.bench_function("pieri_job_root_221", |b| {
-        b.iter(|| pieri_core::run_job(&problem, &root, &child, &child_sol, &settings))
+        b.iter(|| {
+            let mut ws = pieri_tracker::TrackWorkspace::new();
+            pieri_core::run_job(&problem, &root, &child, &child_sol, &settings, &mut ws)
+        })
     });
 }
 

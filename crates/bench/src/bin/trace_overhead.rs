@@ -19,7 +19,7 @@
 //! `--deep` turns on the per-step predict/correct spans to quantify
 //! what the non-default deep mode costs on top).
 
-use pieri_service::{BuildMode, Engine, EngineConfig, JobRequest};
+use pieri_service::{Engine, EngineConfig, JobRequest};
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -37,7 +37,6 @@ fn main() {
 
     let engine = Engine::start(EngineConfig {
         workers: 1,
-        build_mode: BuildMode::Sequential,
         ..EngineConfig::default()
     });
     let req = |seed: u64| JobRequest::SolvePieri {

@@ -2,9 +2,9 @@
 //! run of the master/slave scheduler plus a simulated cluster timeline.
 
 use crate::Opts;
-use pieri_core::{PieriProblem, Shape};
+use pieri_core::{PieriProblem, Poset, Shape};
 use pieri_num::seeded_rng;
-use pieri_parallel::solve_tree_parallel;
+use pieri_parallel::solve_tree_parallel_prepared;
 use pieri_sim::{simulate_tree_dynamic, SimParams, TreeWorkload};
 use pieri_tracker::TrackSettings;
 
@@ -30,7 +30,9 @@ pub fn run(opts: &Opts) -> String {
     let shape = Shape::new(2, 2, 1);
     let problem = PieriProblem::random(shape.clone(), &mut rng);
     let workers = 4;
-    let (solution, stats) = solve_tree_parallel(&problem, &TrackSettings::default(), workers);
+    let poset = Poset::build(&shape);
+    let (solution, stats) =
+        solve_tree_parallel_prepared(&problem, &poset, &TrackSettings::default(), workers);
     out.push_str(&format!(
         "live run (threads, {} slaves): {} jobs, {} solutions, {} failures\n",
         workers,

@@ -4,11 +4,11 @@
 //!
 //! The RPS equations themselves are unpublished CAD output; the measured
 //! calibration therefore uses the workload-equivalent deficient bilinear
-//! system (DESIGN.md §3), whose divergence fraction and cost uniformity
-//! match the paper's description. The paper's "speedup*" convention is
-//! reproduced: with no 1-CPU measurement available, it assumes optimal
-//! speedup at 8 CPUs and extrapolates the sequential time as
-//! `8 × t_dynamic(8)`.
+//! system (`pieri_systems::bilinear_system` documents the substitution),
+//! whose divergence fraction and cost uniformity match the paper's
+//! description. The paper's "speedup*" convention is reproduced: with no
+//! 1-CPU measurement available, it assumes optimal speedup at 8 CPUs and
+//! extrapolates the sequential time as `8 × t_dynamic(8)`.
 
 use crate::experiments::common::measure_rps_analog;
 use crate::Opts;

@@ -4,8 +4,8 @@
 //! Every experiment follows the same pattern: run *real* computations on
 //! this machine (path tracking, Pieri solves), then — where the paper's
 //! numbers need a 128-CPU cluster — feed the measured per-job costs into
-//! the discrete-event simulator (see DESIGN.md §3 for the substitution
-//! argument). Each `run` function returns the rendered report so the
+//! the discrete-event simulator (the `pieri-sim` crate docs give the
+//! substitution argument). Each `run` function returns the rendered report so the
 //! binaries stay one-line wrappers.
 
 #![forbid(unsafe_code)]

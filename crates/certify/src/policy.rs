@@ -1,14 +1,22 @@
 //! The certification knob threaded through the solver stack.
+//!
+//! One policy value reaches every layer that ships solutions. Drivers
+//! track with [`CertifyPolicy::effective_settings`] (the re-track budget
+//! folded into the tracker settings) and then hand their roots to
+//! `pieri_core::certify_roots`, the single certification entry point.
+//! Warm continuations take the policy directly:
+//! `pieri_core::continue_to_instance(.., policy)`.
 
 use pieri_tracker::{RetrackPolicy, TrackSettings};
 
 /// What quality-of-result work a solve should perform on the solutions
 /// it ships.
 ///
-/// `core::solve_prepared_certified`, the certified parallel drivers, the
-/// control layer's certified pole-placement solvers and the batch
-/// service all take one of these; [`CertifyPolicy::off`] reproduces the
-/// uncertified behaviour bit for bit.
+/// `pieri_core::certify_roots` (which `solve_tree_parallel_certified`
+/// calls), `pieri_core::continue_to_instance`, the control layer's
+/// `*_state_space_certified` solvers and the batch service all take one
+/// of these; [`CertifyPolicy::off`] reproduces the uncertified
+/// behaviour bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CertifyPolicy {
     /// Produce a Newton certificate per shipped solution.

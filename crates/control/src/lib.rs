@@ -19,9 +19,18 @@
 //!   problem, extract [`Compensator`]s, and verify that the closed-loop
 //!   characteristic polynomial `φ(s) = det [X(s) | Γ(s)]` vanishes at
 //!   every prescribed pole;
-//! * [`satellite`] — the classical 4-state, 2-input, 2-output linearised
-//!   satellite used in the authors' companion papers, as a worked
-//!   state-space example.
+//! * state-space pole placement, cold and warm. The cold drivers
+//!   [`solve_static_state_space`] and [`solve_dynamic_state_space`] run
+//!   the Pieri tree on a generic instance and continue to the plant's
+//!   data. The warm drivers [`solve_static_state_space_certified`] and
+//!   [`solve_dynamic_state_space_certified`] continue a cached
+//!   [`pieri_core::StartBundle`] under a
+//!   [`pieri_certify::CertifyPolicy`] (`CertifyPolicy::off()` for a plain
+//!   run); [`solve_dynamic_state_space_with_start`] is the uncertified
+//!   dynamic form;
+//! * [`satellite_plant`] — the classical 4-state, 2-input, 2-output
+//!   linearised satellite used in the authors' companion papers, as a
+//!   worked state-space example.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,8 +46,7 @@ pub use plant::Plant;
 pub use pole::{
     conjugate_pole_set, solve_dynamic_state_space, solve_dynamic_state_space_certified,
     solve_dynamic_state_space_with_start, solve_static_state_space,
-    solve_static_state_space_certified, solve_static_state_space_with_start, verify_closed_loop_ss,
-    PolePlacement, PolePlacementOutcome,
+    solve_static_state_space_certified, verify_closed_loop_ss, PolePlacement, PolePlacementOutcome,
 };
 pub use satellite::{satellite_plant, SATELLITE_OMEGA};
 pub use statespace::StateSpace;

@@ -75,17 +75,8 @@ impl PolePlacement {
 
     /// Solves the problem: all `d(m,p,q)` compensators placing the poles.
     pub fn solve<R: Rng + ?Sized>(&self, rng: &mut R) -> PolePlacementOutcome {
-        self.solve_with_settings(rng, &TrackSettings::default())
-    }
-
-    /// Solves with explicit tracker settings.
-    pub fn solve_with_settings<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        settings: &TrackSettings,
-    ) -> PolePlacementOutcome {
         let problem = self.to_pieri_problem(rng);
-        let solution = pieri_core::solve_with_settings(&problem, settings);
+        let solution = pieri_core::solve(&problem);
         let m = self.plant.inputs();
         let p = self.plant.outputs();
         let compensators = solution
@@ -156,7 +147,8 @@ fn solve_application_instance<R: Rng + ?Sized>(
         &start,
         &solution.coeffs,
         &target,
-        &pieri_tracker::TrackSettings::default(),
+        &TrackSettings::default(),
+        &CertifyPolicy::off(),
     );
     unrotate_maps(&mut cont, &t);
     solution.failures += cont.diverged + cont.failed;
@@ -193,7 +185,7 @@ fn unrotate_maps(cont: &mut InstanceContinuation, t: &CMat) {
 /// coordinates, where the homotopy lives — refinement happens before
 /// the maps are rotated back). [`CertifyPolicy::off`] is the plain
 /// uncertified warm path.
-fn continue_application_instance_certified<R: Rng + ?Sized>(
+fn continue_application_instance<R: Rng + ?Sized>(
     shape: Shape,
     planes: Vec<CMat>,
     points: Vec<Complex64>,
@@ -204,7 +196,13 @@ fn continue_application_instance_certified<R: Rng + ?Sized>(
 ) -> (InstanceContinuation, PieriProblem) {
     assert_eq!(start.shape(), &shape, "start bundle serves another shape");
     let (t, target) = rotated_target(&shape, &planes, points, rng);
-    let mut cont = start.continue_to_certified(&target, settings, policy);
+    let mut cont = pieri_core::continue_to_instance(
+        start.problem(),
+        start.coeffs(),
+        &target,
+        settings,
+        policy,
+    );
     unrotate_maps(&mut cont, &t);
     (cont, target)
 }
@@ -274,26 +272,14 @@ pub fn solve_static_state_space<R: Rng + ?Sized>(
 /// poles)` — a cache hit and a cache miss that built the same bundle
 /// produce bitwise-identical gains.
 ///
-/// # Panics
-/// Panics when `poles.len() != m·p` or the bundle serves another shape.
-pub fn solve_static_state_space_with_start<R: Rng + ?Sized>(
-    ss: &StateSpace,
-    poles: &[Complex64],
-    rng: &mut R,
-    start: &StartBundle,
-    settings: &TrackSettings,
-) -> (Vec<CMat>, InstanceContinuation, PieriProblem) {
-    solve_static_state_space_certified(ss, poles, rng, start, settings, &CertifyPolicy::off())
-}
-
-/// [`solve_static_state_space_with_start`] with a [`CertifyPolicy`]:
-/// failed continuation paths are re-tracked, every solution map gets a
-/// Newton certificate (double-double-refined per policy) **and** its
-/// closed-loop pole residual against the requested `poles` — a verdict
-/// is only `Certified` when both checks pass.
+/// Under `policy`, failed continuation paths are re-tracked, every
+/// solution map gets a Newton certificate (double-double-refined per
+/// policy) **and** its closed-loop pole residual against the requested
+/// `poles` — a verdict is only `Certified` when both checks pass.
+/// [`CertifyPolicy::off`] is the plain uncertified warm path.
 ///
 /// # Panics
-/// As [`solve_static_state_space_with_start`].
+/// Panics when `poles.len() != m·p` or the bundle serves another shape.
 pub fn solve_static_state_space_certified<R: Rng + ?Sized>(
     ss: &StateSpace,
     poles: &[Complex64],
@@ -307,15 +293,8 @@ pub fn solve_static_state_space_certified<R: Rng + ?Sized>(
     assert_eq!(poles.len(), m * p, "static output feedback needs m·p poles");
     let shape = Shape::new(m, p, 0);
     let planes: Vec<CMat> = poles.iter().map(|&s| ss.pole_plane(s)).collect();
-    let (mut cont, problem) = continue_application_instance_certified(
-        shape,
-        planes,
-        poles.to_vec(),
-        rng,
-        start,
-        settings,
-        policy,
-    );
+    let (mut cont, problem) =
+        continue_application_instance(shape, planes, poles.to_vec(), rng, start, settings, policy);
     verify_pole_certificates(ss, &mut cont, poles, policy);
     let gains = cont
         .maps
@@ -385,10 +364,12 @@ fn dynamic_conditions<R: Rng + ?Sized>(
     (Shape::new(m, p, q), planes, points)
 }
 
-/// Warm-path variant of [`solve_dynamic_state_space`]: reuses a cached
-/// [`StartBundle`] for shape `(m, p, q)`, tracking only the `d(m,p,q)`
-/// continuation paths. See
-/// [`solve_static_state_space_with_start`] for the determinism contract.
+/// Uncertified warm-path variant of [`solve_dynamic_state_space`]:
+/// reuses a cached [`StartBundle`] for shape `(m, p, q)`, tracking only
+/// the `d(m,p,q)` continuation paths — exactly
+/// [`solve_dynamic_state_space_certified`] with [`CertifyPolicy::off`].
+/// See [`solve_static_state_space_certified`] for the determinism
+/// contract.
 ///
 /// # Panics
 /// Panics unless `poles.len() == n° + q ≤ n` and the bundle serves shape
@@ -404,13 +385,15 @@ pub fn solve_dynamic_state_space_with_start<R: Rng + ?Sized>(
     solve_dynamic_state_space_certified(ss, q, poles, rng, start, settings, &CertifyPolicy::off())
 }
 
-/// [`solve_dynamic_state_space_with_start`] with a [`CertifyPolicy`]:
-/// re-tracked paths, Newton certificates with double-double refinement,
-/// and closed-loop verification of the requested `poles` folded into
-/// each certificate (see [`solve_static_state_space_certified`]).
+/// Warm-path variant of [`solve_dynamic_state_space`] under a
+/// [`CertifyPolicy`]: re-tracked paths, Newton certificates with
+/// double-double refinement, and closed-loop verification of the
+/// requested `poles` folded into each certificate (see
+/// [`solve_static_state_space_certified`]).
 ///
 /// # Panics
-/// As [`solve_dynamic_state_space_with_start`].
+/// Panics unless `poles.len() == n° + q ≤ n` and the bundle serves shape
+/// `(m, p, q)`.
 pub fn solve_dynamic_state_space_certified<R: Rng + ?Sized>(
     ss: &StateSpace,
     q: usize,
@@ -423,9 +406,8 @@ pub fn solve_dynamic_state_space_certified<R: Rng + ?Sized>(
     let m = ss.inputs();
     let p = ss.outputs();
     let (shape, planes, points) = dynamic_conditions(ss, q, poles, rng);
-    let (mut cont, problem) = continue_application_instance_certified(
-        shape, planes, points, rng, start, settings, policy,
-    );
+    let (mut cont, problem) =
+        continue_application_instance(shape, planes, points, rng, start, settings, policy);
     verify_pole_certificates(ss, &mut cont, poles, policy);
     let compensators = cont
         .maps
@@ -551,12 +533,13 @@ mod tests {
         let ss = StateSpace::realize(&plant);
         let poles = conjugate_pole_set(4, &mut rng);
         let bundle = StartBundle::build(Shape::new(2, 2, 0), &mut rng, &TrackSettings::default());
-        let (gains, cont, _) = solve_static_state_space_with_start(
+        let (gains, cont, _) = solve_static_state_space_certified(
             &ss,
             &poles,
             &mut rng,
             &bundle,
             &TrackSettings::default(),
+            &CertifyPolicy::off(),
         );
         assert_eq!(cont.maps.len(), 2);
         assert_eq!(gains.len(), 2);

@@ -280,7 +280,8 @@ pub struct InstanceContinuation {
     /// per-job diagnostics the batch service reports).
     pub stats: TrackStats,
     /// One certificate per entry of `coeffs`/`maps`, in order — filled
-    /// by [`continue_to_instance_certified`], empty otherwise.
+    /// when [`continue_to_instance`] runs with a certifying policy, empty
+    /// otherwise.
     pub certificates: Vec<Certificate>,
     /// The run was cut short by a [`pieri_tracker::cancel`] scope at a
     /// path boundary: `maps`/`coeffs` hold only the paths finished
@@ -292,23 +293,15 @@ pub struct InstanceContinuation {
 
 /// Tracks all solutions of the generic `start` instance to the `target`
 /// instance. `start_coeffs` are the root-pattern coefficient vectors
-/// produced by [`crate::solve`] on `start`.
-pub fn continue_to_instance(
-    start: &PieriProblem,
-    start_coeffs: &[Vec<Complex64>],
-    target: &PieriProblem,
-    settings: &TrackSettings,
-) -> InstanceContinuation {
-    continue_to_instance_certified(start, start_coeffs, target, settings, &CertifyPolicy::off())
-}
-
-/// [`continue_to_instance`] with a [`CertifyPolicy`]: failed paths are
-/// re-tracked per `policy.retrack`, converged endpoints are certified
-/// against the target conditions and (per policy) double-double-refined
-/// in place, with one [`Certificate`] per shipped solution.
+/// produced by [`crate::solve`] on `start` (or a [`crate::StartBundle`]'s
+/// [`coeffs`](crate::StartBundle::coeffs)).
 ///
-/// [`CertifyPolicy::off`] reproduces the uncertified behaviour exactly.
-pub fn continue_to_instance_certified(
+/// `policy` governs the shipped endpoints: failed paths are re-tracked
+/// per `policy.retrack`, converged endpoints are certified against the
+/// target conditions and (per policy) double-double-refined in place,
+/// with one [`Certificate`] per shipped solution.
+/// [`CertifyPolicy::off`] is the plain uncertified continuation.
+pub fn continue_to_instance(
     start: &PieriProblem,
     start_coeffs: &[Vec<Complex64>],
     target: &PieriProblem,
@@ -368,6 +361,21 @@ mod tests {
     use crate::problem::PieriProblem;
     use pieri_num::seeded_rng;
 
+    fn continue_plain(
+        start: &PieriProblem,
+        start_coeffs: &[Vec<Complex64>],
+        target: &PieriProblem,
+    ) -> InstanceContinuation {
+        let settings = TrackSettings::default();
+        continue_to_instance(
+            start,
+            start_coeffs,
+            target,
+            &settings,
+            &CertifyPolicy::off(),
+        )
+    }
+
     #[test]
     fn generic_to_generic_preserves_solution_count() {
         let mut rng = seeded_rng(350);
@@ -376,7 +384,7 @@ mod tests {
         let target = PieriProblem::random(shape.clone(), &mut rng);
         let sol = crate::solver::solve(&start);
         assert_eq!(sol.maps.len(), 2);
-        let cont = continue_to_instance(&start, &sol.coeffs, &target, &TrackSettings::default());
+        let cont = continue_plain(&start, &sol.coeffs, &target);
         assert_eq!(
             cont.maps.len(),
             2,
@@ -447,9 +455,8 @@ mod tests {
         // path 0, so the solver tracks nothing at all.
         let token = pieri_tracker::CancelToken::new();
         token.cancel();
-        let cont = pieri_tracker::cancel::scope(&token, || {
-            continue_to_instance(&start, &sol.coeffs, &target, &TrackSettings::default())
-        });
+        let cont =
+            pieri_tracker::cancel::scope(&token, || continue_plain(&start, &sol.coeffs, &target));
         assert!(cont.cancelled);
         assert_eq!(cont.stats.total(), 0, "no path was started");
         assert!(cont.maps.is_empty() && cont.coeffs.is_empty());
@@ -458,11 +465,10 @@ mod tests {
         // A lapsed deadline behaves identically — and outside any
         // scope the same run is unaffected.
         let expired = pieri_tracker::CancelToken::with_deadline(std::time::Instant::now());
-        let cont = pieri_tracker::cancel::scope(&expired, || {
-            continue_to_instance(&start, &sol.coeffs, &target, &TrackSettings::default())
-        });
+        let cont =
+            pieri_tracker::cancel::scope(&expired, || continue_plain(&start, &sol.coeffs, &target));
         assert!(cont.cancelled && cont.coeffs.is_empty());
-        let cont = continue_to_instance(&start, &sol.coeffs, &target, &TrackSettings::default());
+        let cont = continue_plain(&start, &sol.coeffs, &target);
         assert!(!cont.cancelled);
         assert_eq!(cont.maps.len(), 2);
     }
@@ -477,8 +483,7 @@ mod tests {
         let sol = crate::solver::solve(&start);
         for _ in 0..3 {
             let target = PieriProblem::random(shape.clone(), &mut rng);
-            let cont =
-                continue_to_instance(&start, &sol.coeffs, &target, &TrackSettings::default());
+            let cont = continue_plain(&start, &sol.coeffs, &target);
             assert_eq!(cont.maps.len(), 2);
         }
     }

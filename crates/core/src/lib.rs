@@ -26,12 +26,19 @@
 //! * [`PieriHomotopy`] — one instance of homotopy (3) of the paper: the
 //!   moving plane `M(t) = (1−t)·γ·M_F + t·L_k` together with the moving
 //!   homogenised interpolation point `(ŝ, û)(t) = (1−t)·(1,0) + t·(s_k,1)`;
-//! * [`solve`] / [`PieriSolution`] — the level-by-level (poset) sequential
-//!   solver and verified solution maps; the tree-parallel scheduler lives
-//!   in `pieri-parallel`;
+//! * [`solve_prepared`] / [`PieriSolution`] — the level-by-level (poset)
+//!   sequential solver against a pre-built [`Poset`], and verified
+//!   solution maps ([`solve`] is the default-settings convenience that
+//!   builds the poset itself); [`run_job`] runs one tree edge for the
+//!   schedulers in `pieri-parallel`, which own the job order;
+//! * [`certify_roots`] — the one certification entry point: α-theory
+//!   certificates and double-double refinement of a finished solve's
+//!   roots, whichever schedule produced them;
 //! * [`StartBundle`] — the reusable shape-level work (poset + generic
 //!   start solutions) that [`continue_to_instance`] stretches to any
-//!   concrete instance; the unit the `pieri-service` shape cache stores.
+//!   concrete instance under a [`pieri_certify::CertifyPolicy`]
+//!   ([`CertifyPolicy::off`](pieri_certify::CertifyPolicy::off) for a
+//!   plain run); the unit the `pieri-service` shape cache stores.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,15 +62,10 @@ mod start;
 pub use certified::{certify_solution_set, TargetConditions};
 pub use eval::CoeffLayout;
 pub use homotopy::{special_plane, PieriHomotopy};
-pub use instance::{
-    continue_to_instance, continue_to_instance_certified, InstanceContinuation, InstanceHomotopy,
-};
+pub use instance::{continue_to_instance, InstanceContinuation, InstanceHomotopy};
 pub use maps::PMap;
 pub use pattern::{Pattern, Shape};
 pub use poset::{root_count, LevelProfile, Poset};
 pub use problem::PieriProblem;
-pub use solver::{
-    certify_roots, run_job, run_job_with, solve, solve_prepared, solve_prepared_certified,
-    solve_with_settings, JobRecord, PieriSolution,
-};
+pub use solver::{certify_roots, run_job, solve, solve_prepared, JobRecord, PieriSolution};
 pub use start::StartBundle;

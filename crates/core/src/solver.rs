@@ -52,8 +52,8 @@ pub struct PieriSolution {
     /// Pieri homotopies are optimal, no path diverges).
     pub failures: usize,
     /// One certificate per root solution, in `coeffs` order — filled by
-    /// [`solve_prepared_certified`] (and the certified parallel
-    /// drivers), empty otherwise.
+    /// [`certify_roots`] (which the certified drivers call), empty
+    /// otherwise.
     pub certificates: Vec<Certificate>,
 }
 
@@ -97,21 +97,17 @@ impl PieriSolution {
     }
 }
 
-/// Solves a Pieri problem with default tracking settings.
-pub fn solve(problem: &PieriProblem) -> PieriSolution {
-    solve_with_settings(problem, &TrackSettings::default())
-}
-
-/// Solves a Pieri problem level by level with the given tracker settings.
+/// Solves a Pieri problem level by level with default tracking
+/// settings.
 ///
 /// Builds the poset for the problem's shape and delegates to
 /// [`solve_prepared`]. Callers that solve many instances of the same
-/// shape (the batch service's shape cache) build the poset once and call
+/// shape, or need other tracker settings, build the poset once and call
 /// [`solve_prepared`] directly — the poset depends only on `(m, p, q)`,
 /// not on the problem data.
-pub fn solve_with_settings(problem: &PieriProblem, settings: &TrackSettings) -> PieriSolution {
+pub fn solve(problem: &PieriProblem) -> PieriSolution {
     let poset = Poset::build(problem.shape());
-    solve_prepared(problem, &poset, settings)
+    solve_prepared(problem, &poset, &TrackSettings::default())
 }
 
 /// Solves a Pieri problem against a pre-built poset.
@@ -194,30 +190,12 @@ pub fn solve_prepared(
     }
 }
 
-/// [`solve_prepared`] with a [`CertifyPolicy`] knob: tracking jobs
-/// re-track failed paths per `policy.retrack`, and the root solutions —
-/// the ones a solve ships — are certified against the problem's
-/// intersection conditions and (per policy) double-double-refined in
-/// place, filling [`PieriSolution::certificates`].
-///
-/// # Panics
-/// Panics when `poset` was built for a different shape.
-pub fn solve_prepared_certified(
-    problem: &PieriProblem,
-    poset: &Poset,
-    settings: &TrackSettings,
-    policy: &CertifyPolicy,
-) -> PieriSolution {
-    let track_settings = policy.effective_settings(settings);
-    let mut solution = solve_prepared(problem, poset, &track_settings);
-    certify_roots(problem, &mut solution, policy);
-    solution
-}
-
 /// Certifies (and per policy refines) the root solutions of an
-/// already-computed [`PieriSolution`] in place — the seam the parallel
-/// drivers use, since they own their job scheduling but ship the same
-/// root coefficient vectors.
+/// already-computed [`PieriSolution`] in place — the one certification
+/// entry point, whichever schedule produced the solve (every driver
+/// ships the same root coefficient vectors). Track with
+/// [`CertifyPolicy::effective_settings`] first, so failed paths are
+/// re-tracked per the policy.
 pub fn certify_roots(problem: &PieriProblem, solution: &mut PieriSolution, policy: &CertifyPolicy) {
     solution.certificates = certify_solution_set(problem, &mut solution.coeffs, policy);
     if policy.refine {
@@ -230,23 +208,12 @@ pub fn certify_roots(problem: &PieriProblem, solution: &mut PieriSolution, polic
     }
 }
 
-/// Solves one job explicitly: used by the parallel scheduler, which owns
-/// the job ordering. Returns the converged coefficients, or `None`.
+/// Solves one job explicitly — one Pieri-tree edge — against a
+/// caller-owned [`TrackWorkspace`]: used by the parallel schedulers,
+/// which own the job ordering, each worker holding one workspace that is
+/// reused across every job it executes. Returns the converged
+/// coefficients, or `None`.
 pub fn run_job(
-    problem: &PieriProblem,
-    pattern: &Pattern,
-    child: &Pattern,
-    child_solution: &[Complex64],
-    settings: &TrackSettings,
-) -> (Option<Vec<Complex64>>, JobRecord) {
-    let mut ws = TrackWorkspace::new();
-    run_job_with(problem, pattern, child, child_solution, settings, &mut ws)
-}
-
-/// [`run_job`] against a caller-owned [`TrackWorkspace`] — the form the
-/// parallel schedulers use, each worker holding one workspace that is
-/// reused across every job it executes.
-pub fn run_job_with(
     problem: &PieriProblem,
     pattern: &Pattern,
     child: &Pattern,

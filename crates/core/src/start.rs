@@ -15,7 +15,6 @@
 //! compute it once per shape and amortize it across every later request
 //! (the `pieri-service` shape cache stores `Arc<StartBundle>`s).
 
-use crate::instance::{continue_to_instance, InstanceContinuation};
 use crate::poset::Poset;
 use crate::problem::PieriProblem;
 use crate::solver::{solve_prepared, PieriSolution};
@@ -154,7 +153,10 @@ impl StartBundle {
         &self.problem
     }
 
-    /// Root-pattern coefficient vectors of the generic solutions.
+    /// Root-pattern coefficient vectors of the generic solutions — with
+    /// [`StartBundle::problem`], the start of the cheap warm path
+    /// [`crate::continue_to_instance`] (`d(m,p,q)` straight-line paths,
+    /// no tree).
     pub fn coeffs(&self) -> &[Vec<Complex64>] {
         &self.coeffs
     }
@@ -168,39 +170,6 @@ impl StartBundle {
     /// as the cost a hit avoids).
     pub fn build_time(&self) -> Duration {
         self.build_time
-    }
-
-    /// Continues all generic solutions to `target` — the cheap warm
-    /// path: `d(m,p,q)` straight-line paths, no tree.
-    ///
-    /// # Panics
-    /// Panics when `target` has a different shape (via
-    /// [`crate::InstanceHomotopy::new`]).
-    pub fn continue_to(
-        &self,
-        target: &PieriProblem,
-        settings: &TrackSettings,
-    ) -> InstanceContinuation {
-        continue_to_instance(&self.problem, &self.coeffs, target, settings)
-    }
-
-    /// [`StartBundle::continue_to`] with a
-    /// [`pieri_certify::CertifyPolicy`]: re-tracks failed paths,
-    /// certifies every shipped solution and refines per policy (see
-    /// [`crate::continue_to_instance_certified`]).
-    pub fn continue_to_certified(
-        &self,
-        target: &PieriProblem,
-        settings: &TrackSettings,
-        policy: &pieri_certify::CertifyPolicy,
-    ) -> InstanceContinuation {
-        crate::instance::continue_to_instance_certified(
-            &self.problem,
-            &self.coeffs,
-            target,
-            settings,
-            policy,
-        )
     }
 
     /// Rough resident size of this bundle in bytes: the generic solution
@@ -220,7 +189,15 @@ impl StartBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance::{continue_to_instance, InstanceContinuation};
+    use pieri_certify::CertifyPolicy;
     use pieri_num::seeded_rng;
+
+    fn continue_plain(bundle: &StartBundle, target: &PieriProblem) -> InstanceContinuation {
+        let settings = TrackSettings::default();
+        let off = CertifyPolicy::off();
+        continue_to_instance(bundle.problem(), bundle.coeffs(), target, &settings, &off)
+    }
 
     #[test]
     fn bundle_matches_direct_solve_and_continues() {
@@ -231,7 +208,7 @@ mod tests {
         assert_eq!(bundle.shape(), &shape);
 
         let target = PieriProblem::random(shape, &mut rng);
-        let cont = bundle.continue_to(&target, &TrackSettings::default());
+        let cont = continue_plain(&bundle, &target);
         assert_eq!(cont.maps.len(), 2, "both roots reach the target");
         assert_eq!(cont.stats.total(), 2);
         for m in &cont.maps {
@@ -245,8 +222,8 @@ mod tests {
         let shape = Shape::new(2, 2, 0);
         let bundle = StartBundle::build(shape.clone(), &mut rng, &TrackSettings::default());
         let target = PieriProblem::random(shape, &mut rng);
-        let a = bundle.continue_to(&target, &TrackSettings::default());
-        let b = bundle.continue_to(&target, &TrackSettings::default());
+        let a = continue_plain(&bundle, &target);
+        let b = continue_plain(&bundle, &target);
         assert_eq!(a.coeffs, b.coeffs, "same bundle + target → same bits");
     }
 
@@ -270,8 +247,8 @@ mod tests {
         .expect("faithful restore succeeds");
         assert_eq!(restored.coeffs(), bundle.coeffs());
         let target = PieriProblem::random(shape.clone(), &mut seeded_rng(99));
-        let a = bundle.continue_to(&target, &TrackSettings::default());
-        let b = restored.continue_to(&target, &TrackSettings::default());
+        let a = continue_plain(&bundle, &target);
+        let b = continue_plain(&restored, &target);
         assert_eq!(a.coeffs, b.coeffs, "restored bundle continues identically");
 
         // Wrong seed: well-formed coefficients that don't solve the

@@ -10,9 +10,8 @@
 //! across the global fork-join pool (see the vendored `rayon`), with an
 //! order-preserving collect so the run is deterministic — instrumented
 //! so the benches can measure both effects against
-//! [`crate::solve_tree_parallel`].
+//! [`crate::solve_tree_parallel_prepared`].
 
-use pieri_certify::CertifyPolicy;
 use pieri_core::{JobRecord, PMap, Pattern, PieriProblem, PieriSolution, Poset};
 use pieri_num::Complex64;
 use pieri_tracker::TrackSettings;
@@ -33,38 +32,13 @@ pub struct LevelRunStats {
     pub wall: f64,
 }
 
-/// Solves a Pieri problem level by level, running all jobs of one level
-/// in parallel (work-stealing) with a barrier before the next level.
+/// Solves a Pieri problem level by level against a pre-built poset,
+/// running all jobs of one level in parallel (work-stealing) with a
+/// barrier before the next level.
 ///
-/// Produces the same solutions as [`pieri_core::solve`] and
-/// [`crate::solve_tree_parallel`]; the interesting output is
+/// Produces the same solutions as [`pieri_core::solve_prepared`] and
+/// [`crate::solve_tree_parallel_prepared`]; the interesting output is
 /// [`LevelRunStats`].
-pub fn solve_by_levels_parallel(
-    problem: &PieriProblem,
-    settings: &TrackSettings,
-) -> (PieriSolution, LevelRunStats) {
-    let poset = Poset::build(problem.shape());
-    solve_by_levels_prepared(problem, &poset, settings)
-}
-
-/// [`solve_by_levels_prepared`] with a [`CertifyPolicy`] knob: tracking
-/// jobs re-track failed paths per `policy.retrack`, and the root
-/// solutions are certified/refined afterwards via
-/// [`pieri_core::certify_roots`].
-pub fn solve_by_levels_certified(
-    problem: &PieriProblem,
-    poset: &Poset,
-    settings: &TrackSettings,
-    policy: &CertifyPolicy,
-) -> (PieriSolution, LevelRunStats) {
-    let track = policy.effective_settings(settings);
-    let (mut solution, stats) = solve_by_levels_prepared(problem, poset, &track);
-    pieri_core::certify_roots(problem, &mut solution, policy);
-    (solution, stats)
-}
-
-/// [`solve_by_levels_parallel`] against a pre-built poset (the shared
-/// shape-cache seam; see [`pieri_core::solve_prepared`]).
 ///
 /// # Panics
 /// Panics when `poset` was built for a different shape.
@@ -110,7 +84,7 @@ pub fn solve_by_levels_prepared(
             .into_par_iter()
             .map(|(pattern, child, y)| {
                 let (sol, rec) = crate::workspace::with_worker_workspace(|ws| {
-                    pieri_core::run_job_with(problem, &pattern, &child, &y, settings, ws)
+                    pieri_core::run_job(problem, &pattern, &child, &y, settings, ws)
                 });
                 (pattern, sol, rec)
             })
@@ -153,12 +127,17 @@ mod tests {
     use pieri_core::Shape;
     use pieri_num::seeded_rng;
 
+    fn solve_by_levels(problem: &PieriProblem) -> (PieriSolution, LevelRunStats) {
+        let poset = Poset::build(problem.shape());
+        solve_by_levels_prepared(problem, &poset, &TrackSettings::default())
+    }
+
     #[test]
     fn matches_sequential_solutions() {
         let mut rng = seeded_rng(730);
         let problem = PieriProblem::random(Shape::new(2, 2, 1), &mut rng);
         let seq = pieri_core::solve(&problem);
-        let (par, stats) = solve_by_levels_parallel(&problem, &TrackSettings::default());
+        let (par, stats) = solve_by_levels(&problem);
         assert_eq!(par.failures, 0);
         assert_eq!(par.maps.len(), seq.maps.len());
         let mut unmatched: Vec<&PMap> = seq.maps.iter().collect();
@@ -179,9 +158,8 @@ mod tests {
         // runs must agree bitwise however the pool interleaves chunks.
         let mut rng = seeded_rng(732);
         let problem = PieriProblem::random(Shape::new(2, 2, 1), &mut rng);
-        let settings = TrackSettings::default();
-        let (a, _) = solve_by_levels_parallel(&problem, &settings);
-        let (b, _) = solve_by_levels_parallel(&problem, &settings);
+        let (a, _) = solve_by_levels(&problem);
+        let (b, _) = solve_by_levels(&problem);
         assert_eq!(a.coeffs, b.coeffs, "bitwise identical solutions");
         let levels = |s: &PieriSolution| s.records.iter().map(|r| r.level).collect::<Vec<_>>();
         assert_eq!(levels(&a), levels(&b), "record order stable");
@@ -195,7 +173,7 @@ mod tests {
         // levels).
         let mut rng = seeded_rng(731);
         let problem = PieriProblem::random(Shape::new(2, 2, 1), &mut rng);
-        let (_, stats) = solve_by_levels_parallel(&problem, &TrackSettings::default());
+        let (_, stats) = solve_by_levels(&problem);
         assert!(stats.peak_live_solutions >= 16, "{stats:?}");
     }
 }

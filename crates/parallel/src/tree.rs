@@ -65,30 +65,6 @@ pub struct TreeRunStats {
     pub reactivations: usize,
 }
 
-/// Solves a Pieri problem with the master/slave tree scheduler of Fig. 6.
-///
-/// Produces the same solution set as [`pieri_core::solve`] (same gamma,
-/// same homotopies, same endpoints up to tracking tolerance) — the
-/// integration tests cross-check this — while exposing the parallel
-/// observables of the paper. Records and solutions are returned in
-/// lineage order, so the output is deterministic run to run.
-///
-/// # Panics
-/// Panics when `workers == 0`, or when called from inside a pool worker
-/// (the master blocks on its result channel without draining the pool,
-/// so an in-pool call could starve its own slaves — see the module
-/// docs). A panic inside a slave's tracking job is resumed on the
-/// caller once the remaining in-flight jobs have drained, instead of
-/// hanging the master.
-pub fn solve_tree_parallel(
-    problem: &PieriProblem,
-    settings: &TrackSettings,
-    workers: usize,
-) -> (PieriSolution, TreeRunStats) {
-    let poset = Poset::build(problem.shape());
-    solve_tree_parallel_prepared(problem, &poset, settings, workers)
-}
-
 /// [`solve_tree_parallel_prepared`] with a [`CertifyPolicy`] knob: every
 /// tracking job re-tracks failed paths per `policy.retrack` (each slave
 /// inherits it through its `TrackSettings`), and the root solutions —
@@ -112,12 +88,23 @@ pub fn solve_tree_parallel_certified(
     (solution, stats)
 }
 
-/// [`solve_tree_parallel`] against a pre-built poset (the shared
-/// shape-cache seam; see [`pieri_core::solve_prepared`]).
+/// Solves a Pieri problem with the master/slave tree scheduler of Fig. 6,
+/// against a pre-built poset (build it with [`Poset::build`]; the shape
+/// cache of `pieri-service` keeps one per shape).
+///
+/// Produces the same solution set as [`pieri_core::solve_prepared`] (same
+/// gamma, same homotopies, same endpoints up to tracking tolerance) — the
+/// integration tests cross-check this — while exposing the parallel
+/// observables of the paper. Records and solutions are returned in
+/// lineage order, so the output is deterministic run to run.
 ///
 /// # Panics
-/// As [`solve_tree_parallel`], and additionally when `poset` was built
-/// for a different shape.
+/// Panics when `workers == 0`, when `poset` was built for a different
+/// shape, or when called from inside a pool worker (the master blocks on
+/// its result channel without draining the pool, so an in-pool call
+/// could starve its own slaves — see the module docs). A panic inside a
+/// slave's tracking job is resumed on the caller once the remaining
+/// in-flight jobs have drained, instead of hanging the master.
 pub fn solve_tree_parallel_prepared(
     problem: &PieriProblem,
     poset: &Poset,
@@ -127,7 +114,7 @@ pub fn solve_tree_parallel_prepared(
     assert!(workers >= 1, "need at least one worker");
     assert!(
         rayon::current_thread_index().is_none(),
-        "solve_tree_parallel must be called from outside the worker pool"
+        "solve_tree_parallel_prepared must be called from outside the worker pool"
     );
     let shape = problem.shape();
     assert_eq!(
@@ -200,7 +187,7 @@ pub fn solve_tree_parallel_prepared(
                         // Pool threads are persistent: the thread-local
                         // workspace survives across jobs and slaves.
                         crate::workspace::with_worker_workspace(|ws| {
-                            pieri_core::run_job_with(
+                            pieri_core::run_job(
                                 problem,
                                 &job.pattern,
                                 &job.child,
@@ -313,6 +300,11 @@ mod tests {
     use pieri_core::Shape;
     use pieri_num::seeded_rng;
 
+    fn solve_tree(problem: &PieriProblem, workers: usize) -> (PieriSolution, TreeRunStats) {
+        let poset = Poset::build(problem.shape());
+        solve_tree_parallel_prepared(problem, &poset, &TrackSettings::default(), workers)
+    }
+
     #[test]
     fn certified_tree_solve_certifies_every_root() {
         let mut rng = seeded_rng(990);
@@ -363,7 +355,7 @@ mod tests {
         let mut rng = seeded_rng(720);
         let problem = PieriProblem::random(Shape::new(2, 2, 0), &mut rng);
         let seq = pieri_core::solve(&problem);
-        let (par, stats) = solve_tree_parallel(&problem, &TrackSettings::default(), 3);
+        let (par, stats) = solve_tree(&problem, 3);
         assert_eq!(par.failures, 0);
         assert!(solutions_match(&seq, &par, 1e-6));
         assert_eq!(
@@ -378,7 +370,7 @@ mod tests {
         let problem = PieriProblem::random(Shape::new(2, 2, 1), &mut rng);
         let seq = pieri_core::solve(&problem);
         assert_eq!(seq.maps.len(), 8);
-        let (par, stats) = solve_tree_parallel(&problem, &TrackSettings::default(), 4);
+        let (par, stats) = solve_tree(&problem, 4);
         assert!(
             solutions_match(&seq, &par, 1e-6),
             "8 dynamic feedback laws agree"
@@ -391,7 +383,7 @@ mod tests {
     fn single_worker_tree_run() {
         let mut rng = seeded_rng(722);
         let problem = PieriProblem::random(Shape::new(3, 2, 0), &mut rng);
-        let (par, stats) = solve_tree_parallel(&problem, &TrackSettings::default(), 1);
+        let (par, stats) = solve_tree(&problem, 1);
         assert_eq!(par.maps.len(), 5);
         assert_eq!(stats.report.workers.len(), 1);
         assert_eq!(stats.report.workers[0].jobs, par.records.len());
@@ -405,7 +397,7 @@ mod tests {
         // k−1 (its parent) — check the record order respects this.
         let mut rng = seeded_rng(723);
         let problem = PieriProblem::random(Shape::new(2, 2, 1), &mut rng);
-        let (par, _) = solve_tree_parallel(&problem, &TrackSettings::default(), 4);
+        let (par, _) = solve_tree(&problem, 4);
         let mut seen_levels = [0usize; 10];
         for r in &par.records {
             if r.level > 1 {
@@ -424,7 +416,7 @@ mod tests {
     fn reports_track_queue_and_idle_protocol() {
         let mut rng = seeded_rng(724);
         let problem = PieriProblem::random(Shape::new(2, 2, 1), &mut rng);
-        let (_, stats) = solve_tree_parallel(&problem, &TrackSettings::default(), 4);
+        let (_, stats) = solve_tree(&problem, 4);
         // The (2,2,1) tree fans out to width 8; with 4 workers the queue
         // must have backed up at least once.
         assert!(stats.report.peak_queue > 0);
@@ -439,7 +431,7 @@ mod tests {
         let mut rng = seeded_rng(725);
         let problem = PieriProblem::random(Shape::new(2, 2, 0), &mut rng);
         let seq = pieri_core::solve(&problem);
-        let (par, stats) = solve_tree_parallel(&problem, &TrackSettings::default(), 16);
+        let (par, stats) = solve_tree(&problem, 16);
         assert_eq!(par.failures, 0);
         assert!(solutions_match(&seq, &par, 1e-6));
         assert_eq!(stats.report.workers.len(), 16);
@@ -463,7 +455,7 @@ mod tests {
         // with every job accounted for and nothing left in flight.
         let mut rng = seeded_rng(726);
         let problem = PieriProblem::random(Shape::new(2, 2, 1), &mut rng);
-        let (par, stats) = solve_tree_parallel(&problem, &TrackSettings::default(), 4);
+        let (par, stats) = solve_tree(&problem, 4);
         assert_eq!(par.failures, 0);
         assert!(stats.idle_parks > 0, "final drain parks slaves: {stats:?}");
         assert!(
@@ -484,11 +476,10 @@ mod tests {
         // slaves; it must fail fast instead of deadlocking.
         let mut rng = seeded_rng(728);
         let problem = PieriProblem::random(Shape::new(2, 2, 0), &mut rng);
-        let settings = TrackSettings::default();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             rayon::scope(|s| {
                 s.spawn(|_| {
-                    let _ = solve_tree_parallel(&problem, &settings, 1);
+                    let _ = solve_tree(&problem, 1);
                 });
             });
         }));
@@ -502,10 +493,9 @@ mod tests {
         // repeated runs and for different virtual-slave counts.
         let mut rng = seeded_rng(727);
         let problem = PieriProblem::random(Shape::new(2, 2, 1), &mut rng);
-        let settings = TrackSettings::default();
-        let (a, _) = solve_tree_parallel(&problem, &settings, 4);
-        let (b, _) = solve_tree_parallel(&problem, &settings, 4);
-        let (c, _) = solve_tree_parallel(&problem, &settings, 2);
+        let (a, _) = solve_tree(&problem, 4);
+        let (b, _) = solve_tree(&problem, 4);
+        let (c, _) = solve_tree(&problem, 2);
         assert_eq!(a.coeffs, b.coeffs, "same worker count: bitwise equal");
         assert_eq!(a.coeffs, c.coeffs, "different worker count: bitwise equal");
         let levels = |s: &PieriSolution| s.records.iter().map(|r| r.level).collect::<Vec<_>>();

@@ -36,18 +36,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
-/// How the cache builds a bundle on a miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuildMode {
-    /// Sequential level-by-level solver (one core; other jobs keep the
-    /// pool).
-    Sequential,
-    /// Tree-parallel scheduler on the global work-stealing pool with one
-    /// virtual slave per pool thread — the PR-2 runtime does the heavy
-    /// lifting of cold shapes.
-    TreeParallel,
-}
-
 /// Residency bounds of the shape cache. Both limits apply; eviction is
 /// least-recently-used over *ready* bundles (in-flight builds are never
 /// evicted) and the most recently inserted bundle always survives, even
@@ -143,7 +131,6 @@ pub struct ShapeCache {
     /// request order.
     bundle_seed: u64,
     settings: TrackSettings,
-    mode: BuildMode,
     /// Optional on-disk persistence: successful builds are saved
     /// best-effort, [`ShapeCache::with_store`] preloads at startup.
     store: Option<BundleStore>,
@@ -152,17 +139,12 @@ pub struct ShapeCache {
 
 impl ShapeCache {
     /// Creates an empty cache with the default [`CacheLimits`].
-    pub fn new(bundle_seed: u64, settings: TrackSettings, mode: BuildMode) -> Self {
-        ShapeCache::with_limits(bundle_seed, settings, mode, CacheLimits::default())
+    pub fn new(bundle_seed: u64, settings: TrackSettings) -> Self {
+        ShapeCache::with_limits(bundle_seed, settings, CacheLimits::default())
     }
 
     /// Creates an empty cache with explicit residency limits.
-    pub fn with_limits(
-        bundle_seed: u64,
-        settings: TrackSettings,
-        mode: BuildMode,
-        limits: CacheLimits,
-    ) -> Self {
+    pub fn with_limits(bundle_seed: u64, settings: TrackSettings, limits: CacheLimits) -> Self {
         assert!(limits.max_shapes >= 1, "cache must hold at least one shape");
         ShapeCache {
             slots: RankedMutex::new("cache-slots", rank::CACHE_SLOTS, HashMap::new()),
@@ -173,7 +155,6 @@ impl ShapeCache {
             limits,
             bundle_seed,
             settings,
-            mode,
             store: None,
             restored: Counter::new(),
         }
@@ -302,28 +283,22 @@ impl ShapeCache {
         self.bundle_seed ^ shape_tag(shape) ^ (attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 
-    /// Builds a bundle outside any lock. Panics inside the solvers are
+    /// Builds a bundle outside any lock: one generic instance through
+    /// the tree-parallel scheduler on the global work-stealing pool, with
+    /// one virtual slave per pool thread. Panics inside the solver are
     /// contained here (the build runs caller-side, possibly on an engine
     /// worker thread).
     fn build(&self, shape: &Shape, seed: u64) -> Result<StartBundle, JobError> {
         let shape = shape.clone();
         let settings = self.settings;
-        let mode = self.mode;
-        catch_unwind(AssertUnwindSafe(move || match mode {
-            BuildMode::Sequential => {
-                let mut rng = seeded_rng(seed);
-                StartBundle::build(shape, &mut rng, &settings)
-            }
-            BuildMode::TreeParallel => {
-                let t0 = Instant::now();
-                let poset = pieri_core::Poset::build(&shape);
-                let mut rng = seeded_rng(seed);
-                let problem = pieri_core::PieriProblem::random(shape, &mut rng);
-                let workers = rayon::current_num_threads().max(1);
-                let (solution, _) =
-                    solve_tree_parallel_prepared(&problem, &poset, &settings, workers);
-                StartBundle::from_parts(poset, problem, solution, t0.elapsed())
-            }
+        catch_unwind(AssertUnwindSafe(move || {
+            let t0 = Instant::now();
+            let poset = pieri_core::Poset::build(&shape);
+            let mut rng = seeded_rng(seed);
+            let problem = pieri_core::PieriProblem::random(shape, &mut rng);
+            let workers = rayon::current_num_threads().max(1);
+            let (solution, _) = solve_tree_parallel_prepared(&problem, &poset, &settings, workers);
+            StartBundle::from_parts(poset, problem, solution, t0.elapsed())
         }))
         .map_err(|payload| JobError::StartSystem(panic_message(&payload)))
     }
@@ -467,7 +442,7 @@ mod tests {
     use super::*;
 
     fn cache() -> ShapeCache {
-        ShapeCache::new(0x5eed, TrackSettings::default(), BuildMode::Sequential)
+        ShapeCache::new(0x5eed, TrackSettings::default())
     }
 
     #[test]
@@ -519,7 +494,7 @@ mod tests {
 
     #[test]
     fn tree_parallel_build_matches_root_count() {
-        let c = ShapeCache::new(0x5eed, TrackSettings::default(), BuildMode::TreeParallel);
+        let c = ShapeCache::new(0x5eed, TrackSettings::default());
         let (bundle, hit) = c.get_or_build(&Shape::new(2, 2, 1)).unwrap();
         assert!(!hit);
         assert_eq!(bundle.root_count(), 8);
@@ -530,7 +505,6 @@ mod tests {
         let c = ShapeCache::with_limits(
             0x5eed,
             TrackSettings::default(),
-            BuildMode::Sequential,
             CacheLimits {
                 max_shapes: 2,
                 max_bytes: usize::MAX,
@@ -563,7 +537,6 @@ mod tests {
         let c = ShapeCache::with_limits(
             0x5eed,
             TrackSettings::default(),
-            BuildMode::Sequential,
             CacheLimits {
                 max_shapes: 8,
                 max_bytes: 1,
@@ -585,16 +558,14 @@ mod tests {
         let shape = Shape::new(2, 2, 0);
 
         // First "process": cold build, persisted on the way out.
-        let first = ShapeCache::new(0x5eed, TrackSettings::default(), BuildMode::Sequential)
-            .with_store(Some(&dir));
+        let first = ShapeCache::new(0x5eed, TrackSettings::default()).with_store(Some(&dir));
         assert_eq!(first.stats().restored, 0, "nothing on disk yet");
         let (cold, hit) = first.get_or_build(&shape).unwrap();
         assert!(!hit);
 
         // Second "process": the bundle preloads at construction and the
         // first request is a hit with bitwise-identical coefficients.
-        let second = ShapeCache::new(0x5eed, TrackSettings::default(), BuildMode::Sequential)
-            .with_store(Some(&dir));
+        let second = ShapeCache::new(0x5eed, TrackSettings::default()).with_store(Some(&dir));
         let stats = second.stats();
         assert_eq!((stats.restored, stats.shapes), (1, 1), "warm restart");
         let (warm, hit) = second.get_or_build(&shape).unwrap();
@@ -609,8 +580,7 @@ mod tests {
             .unwrap()
             .path();
         std::fs::write(&file, "torn").unwrap();
-        let third = ShapeCache::new(0x5eed, TrackSettings::default(), BuildMode::Sequential)
-            .with_store(Some(&dir));
+        let third = ShapeCache::new(0x5eed, TrackSettings::default()).with_store(Some(&dir));
         assert_eq!(third.stats().restored, 0, "corrupt store restores nothing");
         let (rebuilt, hit) = third.get_or_build(&shape).unwrap();
         assert!(!hit, "cold rebuild, not an error");
@@ -618,8 +588,7 @@ mod tests {
 
         // A mismatched bundle seed fails the residual validation and
         // likewise degrades to a rebuild (no restore, no error).
-        let fourth = ShapeCache::new(0xbad_5eed, TrackSettings::default(), BuildMode::Sequential)
-            .with_store(Some(&dir));
+        let fourth = ShapeCache::new(0xbad_5eed, TrackSettings::default()).with_store(Some(&dir));
         assert_eq!(fourth.stats().restored, 0, "foreign-seed store rejected");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,12 +1,16 @@
 //! The job engine: a bounded queue feeding worker threads, with the
 //! heavy shape-level work running on the global work-stealing pool.
 //!
-//! Flow of a job: `submit` validates against the admission limits and
-//! enqueues (back-pressure: a full queue rejects with
-//! [`JobError::QueueFull`], a blocking variant waits for space); a
-//! worker pops it, resolves the shape through the [`ShapeCache`] — a
-//! miss runs the Pieri tree on the pool, a hit costs nothing — and
-//! tracks the `d(m,p,q)` continuation paths to the request's data.
+//! Flow of a job: [`Engine::submit_async`] validates against the
+//! admission limits and enqueues with a completion callback
+//! (back-pressure: a full queue sheds with [`JobError::QueueFull`]);
+//! [`Engine::run`] is the blocking helper on the same path — it waits
+//! for queue space instead of shedding, then for the answer. A worker
+//! pops the job, resolves the shape through the [`ShapeCache`] — a miss
+//! runs the Pieri tree on the pool, a hit costs nothing — and tracks the
+//! `d(m,p,q)` continuation paths to the request's data with one
+//! `continue_to_instance` call (certifying per [`EngineConfig::certify`]
+//! when the request asks for it).
 //! Shutdown is graceful: intake closes immediately, queued and in-flight
 //! jobs finish, workers exit, and every late submitter gets
 //! [`JobError::ShuttingDown`].
@@ -28,16 +32,13 @@
 //! the slot — finishing worker or recovering supervisor — owns the
 //! completion, so no job is ever answered twice or dropped.
 
-use crate::cache::{panic_message, BuildMode, CacheLimits, CacheStats, ShapeCache};
+use crate::cache::{panic_message, CacheLimits, CacheStats, ShapeCache};
 use crate::job::{CompensatorAnswer, JobError, JobLimits, JobRequest, JobResult};
 use crate::sync::{rank, RankedMutex};
 use crossbeam::channel;
 use pieri_certify::{Certificate, CertifyPolicy};
-use pieri_control::{
-    solve_dynamic_state_space_certified, solve_dynamic_state_space_with_start,
-    verify_closed_loop_ss, StateSpace,
-};
-use pieri_core::Shape;
+use pieri_control::{solve_dynamic_state_space_certified, verify_closed_loop_ss, StateSpace};
+use pieri_core::{continue_to_instance, Shape};
 use pieri_num::{seeded_rng, Complex64};
 use pieri_trace::{Counter, Gauge, Histogram, Registry};
 use pieri_tracker::{CancelToken, TrackSettings};
@@ -63,8 +64,6 @@ pub struct EngineConfig {
     pub settings: TrackSettings,
     /// Admission limits.
     pub limits: JobLimits,
-    /// How cache misses run the Pieri tree.
-    pub build_mode: BuildMode,
     /// Residency limits of the shape cache (LRU eviction beyond them).
     pub cache_limits: CacheLimits,
     /// Policy applied to jobs that request certification (the wire's
@@ -90,7 +89,6 @@ impl Default for EngineConfig {
             bundle_seed: 0x5eed_cafe,
             settings: TrackSettings::default(),
             limits: JobLimits::default(),
-            build_mode: BuildMode::TreeParallel,
             cache_limits: CacheLimits::default(),
             certify: CertifyPolicy::full(),
             bundle_store: None,
@@ -128,12 +126,9 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// How a finished job reaches its submitter: a channel for the blocking
-/// [`JobTicket`] API, a callback for the reactor's completion queue.
-enum Done {
-    Channel(channel::Sender<Result<JobResult, JobError>>),
-    Callback(Box<dyn FnOnce(Result<JobResult, JobError>) + Send + 'static>),
-}
+/// How a finished job reaches its submitter: the reactor's completion
+/// push, or [`Engine::run`]'s channel send. Called exactly once.
+type Done = Box<dyn FnOnce(Result<JobResult, JobError>) + Send + 'static>;
 
 struct Queued {
     req: JobRequest,
@@ -311,26 +306,6 @@ pub struct CertifyCounters {
     pub failed: usize,
 }
 
-/// A handle to one submitted job; resolve it with [`JobTicket::wait`].
-pub struct JobTicket {
-    rx: channel::Receiver<Result<JobResult, JobError>>,
-}
-
-impl std::fmt::Debug for JobTicket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("JobTicket")
-    }
-}
-
-impl JobTicket {
-    /// Blocks until the job finishes.
-    pub fn wait(self) -> Result<JobResult, JobError> {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| Err(JobError::Internal("worker disappeared".into())))
-    }
-}
-
 /// Engine counters and gauges (the `/v1/stats` payload).
 #[derive(Debug, Clone)]
 pub struct EngineStats {
@@ -400,7 +375,6 @@ impl Engine {
         let cache = ShapeCache::with_limits(
             config.bundle_seed,
             config.certify.effective_settings(&config.settings),
-            config.build_mode,
             config.cache_limits,
         )
         .with_store(config.bundle_store.as_deref());
@@ -481,36 +455,6 @@ impl Engine {
         Engine::start(EngineConfig::default())
     }
 
-    /// Validates and enqueues a job; non-blocking back-pressure — a full
-    /// queue returns [`JobError::QueueFull`] immediately.
-    pub fn submit(&self, req: JobRequest) -> Result<JobTicket, JobError> {
-        let (tx, rx) = channel::unbounded();
-        self.enqueue(req, None, false, 0, Done::Channel(tx))?;
-        Ok(JobTicket { rx })
-    }
-
-    /// Validates and enqueues a job, waiting for queue space when full.
-    pub fn submit_blocking(&self, req: JobRequest) -> Result<JobTicket, JobError> {
-        let (tx, rx) = channel::unbounded();
-        self.enqueue(req, None, true, 0, Done::Channel(tx))?;
-        Ok(JobTicket { rx })
-    }
-
-    /// [`Engine::submit`] with an absolute deadline: lapsed-at-submit
-    /// sheds immediately, lapsed-in-queue answers without invoking the
-    /// solver, lapsed-mid-execution stops the tracker at the next path
-    /// boundary. The returned [`CancelToken`] cancels the job early
-    /// (e.g. when the client connection goes away).
-    pub fn submit_with_deadline(
-        &self,
-        req: JobRequest,
-        deadline: Option<Instant>,
-    ) -> Result<(JobTicket, CancelToken), JobError> {
-        let (tx, rx) = channel::unbounded();
-        let token = self.enqueue(req, deadline, false, 0, Done::Channel(tx))?;
-        Ok((JobTicket { rx }, token))
-    }
-
     /// Completion-callback admission for the reactor: never blocks, and
     /// never calls `on_done` when admission itself fails (the error
     /// comes back synchronously for the caller to render). On success
@@ -528,18 +472,21 @@ impl Engine {
         trace_id: u64,
         on_done: impl FnOnce(Result<JobResult, JobError>) + Send + 'static,
     ) -> Result<CancelToken, JobError> {
-        self.enqueue(
-            req,
-            deadline,
-            false,
-            trace_id,
-            Done::Callback(Box::new(on_done)),
-        )
+        self.enqueue(req, deadline, false, trace_id, Box::new(on_done))
     }
 
-    /// Convenience: blocking submit + wait.
+    /// Blocking helper on the [`Engine::submit_async`] path: validates
+    /// and enqueues, *waiting for queue space* when the queue is full
+    /// (so it never sheds with [`JobError::QueueFull`]), then waits for
+    /// the answer.
     pub fn run(&self, req: JobRequest) -> Result<JobResult, JobError> {
-        self.submit_blocking(req)?.wait()
+        let (tx, rx) = channel::unbounded();
+        let on_done = move |result| {
+            let _ = tx.send(result);
+        };
+        self.enqueue(req, None, true, 0, Box::new(on_done))?;
+        rx.recv()
+            .unwrap_or_else(|_| Err(JobError::Internal("worker disappeared".into())))
     }
 
     fn enqueue(
@@ -716,7 +663,7 @@ impl Engine {
             .chain(orphans.into_iter().map(|o| o.job))
         {
             self.shared.metrics.completed.inc();
-            deliver(job.done, Err(JobError::ShuttingDown));
+            (job.done)(Err(JobError::ShuttingDown));
         }
     }
 }
@@ -724,17 +671,6 @@ impl Engine {
 impl Drop for Engine {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn deliver(done: Done, result: Result<JobResult, JobError>) {
-    match done {
-        // A dropped ticket (client gave up) is fine; ignore send
-        // errors.
-        Done::Channel(tx) => {
-            let _ = tx.send(result);
-        }
-        Done::Callback(cb) => cb(result),
     }
 }
 
@@ -915,7 +851,7 @@ fn worker_loop(shared: &Arc<Shared>, id: usize, generation: u64) {
         if matches!(result, Err(JobError::DeadlineExceeded { .. })) {
             shared.metrics.expired.inc();
         }
-        deliver(done, result);
+        done(result);
     }
 }
 
@@ -1020,24 +956,18 @@ fn recover_inflight(shared: &Arc<Shared>, inflight: InFlight) {
         // ordering as the worker's completion path.
         shared.metrics.completed.inc();
         shared.metrics.expired.inc();
-        deliver(
-            job.done,
-            Err(JobError::DeadlineExceeded {
-                detail: "deadline lapsed while the job was recovered from a failed worker".into(),
-            }),
-        );
+        (job.done)(Err(JobError::DeadlineExceeded {
+            detail: "deadline lapsed while the job was recovered from a failed worker".into(),
+        }));
     } else if executing {
         // The solver was already running when the worker died or
         // wedged. Re-running would be answer-deterministic, but a job
         // that wedges its worker would then wedge every replacement —
         // shed it with a structured error instead.
         shared.metrics.completed.inc();
-        deliver(
-            job.done,
-            Err(JobError::Internal(
-                "worker failed mid-execution; job shed during fail-over".into(),
-            )),
-        );
+        (job.done)(Err(JobError::Internal(
+            "worker failed mid-execution; job shed during fail-over".into(),
+        )));
     } else {
         // The solver never started: requeue at the front, replay-safe.
         // The transient over-capacity this may cause is deliberate —
@@ -1110,18 +1040,26 @@ fn run_job(shared: &Shared, req: &JobRequest, queue_wait: Duration) -> Result<Jo
         bundle.build_time()
     };
     let certify = req.certify();
-    let policy = shared.certify_policy;
+    // Jobs without the flag run uncertified whatever the engine's
+    // configured policy is.
+    let policy = if certify {
+        shared.certify_policy
+    } else {
+        CertifyPolicy::off()
+    };
     let t0 = Instant::now();
 
     let mut result = match req {
         JobRequest::SolvePieri { seed, .. } => {
             let mut rng = seeded_rng(*seed);
             let target = pieri_core::PieriProblem::random(shape.clone(), &mut rng);
-            let cont = if certify {
-                bundle.continue_to_certified(&target, &shared.settings, &policy)
-            } else {
-                bundle.continue_to(&target, &shared.settings)
-            };
+            let cont = continue_to_instance(
+                bundle.problem(),
+                bundle.coeffs(),
+                &target,
+                &shared.settings,
+                &policy,
+            );
             reject_cancelled(&cont)?;
             if certify {
                 shared.count_certificates(&cont.certificates, cont.stats.retracked);
@@ -1155,26 +1093,15 @@ fn run_job(shared: &Shared, req: &JobRequest, queue_wait: Duration) -> Result<Jo
         } => {
             let ss = StateSpace::new(a.clone(), b.clone(), c.clone());
             let mut rng = seeded_rng(*seed);
-            let (comps, cont, _) = if certify {
-                solve_dynamic_state_space_certified(
-                    &ss,
-                    *q,
-                    poles,
-                    &mut rng,
-                    &bundle,
-                    &shared.settings,
-                    &policy,
-                )
-            } else {
-                solve_dynamic_state_space_with_start(
-                    &ss,
-                    *q,
-                    poles,
-                    &mut rng,
-                    &bundle,
-                    &shared.settings,
-                )
-            };
+            let (comps, cont, _) = solve_dynamic_state_space_certified(
+                &ss,
+                *q,
+                poles,
+                &mut rng,
+                &bundle,
+                &shared.settings,
+                &policy,
+            );
             reject_cancelled(&cont)?;
             if certify {
                 shared.count_certificates(&cont.certificates, cont.stats.retracked);
@@ -1227,14 +1154,25 @@ fn run_job(shared: &Shared, req: &JobRequest, queue_wait: Duration) -> Result<Jo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     fn small_engine(workers: usize, capacity: usize) -> Engine {
         Engine::start(EngineConfig {
             workers,
             queue_capacity: capacity,
-            build_mode: BuildMode::Sequential,
             ..EngineConfig::default()
         })
+    }
+
+    type Answer = mpsc::Receiver<Result<JobResult, JobError>>;
+
+    /// Non-blocking admission with a receiver for the answer.
+    fn submit(engine: &Engine, req: JobRequest) -> Result<Answer, JobError> {
+        let (tx, rx) = mpsc::channel();
+        engine.submit_async(req, None, 0, move |result| {
+            let _ = tx.send(result);
+        })?;
+        Ok(rx)
     }
 
     fn solve_req(seed: u64) -> JobRequest {
@@ -1272,15 +1210,14 @@ mod tests {
     #[test]
     fn invalid_jobs_are_rejected_at_submit() {
         let engine = small_engine(1, 4);
-        let err = engine
-            .submit(JobRequest::SolvePieri {
-                m: 0,
-                p: 1,
-                q: 0,
-                seed: 0,
-                certify: false,
-            })
-            .unwrap_err();
+        let invalid = JobRequest::SolvePieri {
+            m: 0,
+            p: 1,
+            q: 0,
+            seed: 0,
+            certify: false,
+        };
+        let err = submit(&engine, invalid).unwrap_err();
         assert_eq!(err.kind(), "invalid_request");
         assert_eq!(engine.stats().rejected, 1);
     }
@@ -1291,11 +1228,11 @@ mod tests {
         // first job (a cold solve), the queue holds the second, and the
         // third non-blocking submit must bounce.
         let engine = small_engine(1, 1);
-        let t1 = engine.submit(solve_req(1)).unwrap();
+        let t1 = submit(&engine, solve_req(1)).unwrap();
         let mut bounced = false;
         let mut tickets = vec![t1];
         for seed in 2..50 {
-            match engine.submit(solve_req(seed)) {
+            match submit(&engine, solve_req(seed)) {
                 Ok(t) => tickets.push(t),
                 Err(JobError::QueueFull) => {
                     bounced = true;
@@ -1306,8 +1243,49 @@ mod tests {
         }
         assert!(bounced, "bounded queue must eventually reject");
         for t in tickets {
-            assert!(t.wait().is_ok());
+            assert!(t.recv().unwrap().is_ok());
         }
+        engine.shutdown();
+    }
+
+    #[test]
+    fn run_waits_for_queue_space_instead_of_shedding() {
+        // One worker, capacity 1. The first job's completion callback
+        // runs on the worker thread and parks there until the gate
+        // opens, so the worker stays occupied; a second job then fills
+        // the queue.
+        let engine = small_engine(1, 1);
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        engine
+            .submit_async(solve_req(1), None, 0, move |result| {
+                parked_tx.send(result).unwrap();
+                gate_rx.recv().unwrap();
+            })
+            .unwrap();
+        assert!(parked_rx.recv().unwrap().is_ok(), "worker parked");
+        let queued = submit(&engine, solve_req(2)).unwrap();
+        assert_eq!(
+            submit(&engine, solve_req(3)).unwrap_err(),
+            JobError::QueueFull,
+            "queue is full"
+        );
+        let before = engine.stats();
+
+        std::thread::scope(|s| {
+            let blocked = s.spawn(|| engine.run(solve_req(4)));
+            // However long this waits, `run` cannot pass a full queue.
+            std::thread::sleep(Duration::from_millis(50));
+            assert_eq!(engine.stats().submitted, before.submitted);
+            gate_tx.send(()).unwrap();
+            let res = blocked.join().unwrap();
+            assert!(res.is_ok(), "run waits for space, never sheds: {res:?}");
+        });
+        let after = engine.stats();
+        assert_eq!(after.shed, before.shed, "run never sheds");
+        assert_eq!(after.rejected, before.rejected);
+        assert_eq!(after.submitted, before.submitted + 1);
+        assert!(queued.recv().unwrap().is_ok());
         engine.shutdown();
     }
 
@@ -1315,14 +1293,14 @@ mod tests {
     fn shutdown_drains_queued_jobs_then_rejects() {
         let engine = small_engine(1, 8);
         let tickets: Vec<_> = (0..3)
-            .map(|seed| engine.submit(solve_req(seed)).unwrap())
+            .map(|seed| submit(&engine, solve_req(seed)).unwrap())
             .collect();
         engine.shutdown();
         for t in tickets {
-            assert!(t.wait().is_ok(), "queued jobs finish on shutdown");
+            assert!(t.recv().unwrap().is_ok(), "queued jobs finish on shutdown");
         }
         assert_eq!(
-            engine.submit(solve_req(99)).unwrap_err(),
+            submit(&engine, solve_req(99)).unwrap_err(),
             JobError::ShuttingDown
         );
     }

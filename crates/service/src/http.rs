@@ -4,8 +4,8 @@
 //! batch solver needs is tiny, so the transport is written directly
 //! against `TcpListener`/`TcpStream`. Since the reactor rework the
 //! server side is *event-driven*: [`Server::start`] spawns a handful
-//! of [`crate::reactor`] threads that multiplex every connection over
-//! epoll — this module keeps the protocol itself (the incremental
+//! of reactor threads (the crate-internal `reactor` module) that
+//! multiplex every connection over epoll — this module keeps the protocol itself (the incremental
 //! request parser, the response renderer, the route → status mapping)
 //! and the blocking [`Client`].
 //!
@@ -86,10 +86,10 @@ pub struct ServerOptions {
     /// what makes [`Server::drain`] a zero-downtime restart.
     pub reuseport: bool,
     /// Idle budget for quiescent kept-alive connections
-    /// (default [`KEEP_ALIVE_IDLE`]).
+    /// (default 5 s).
     pub keep_alive_idle: Duration,
     /// Budget for stalled transfers — bytes buffered but none moving
-    /// (default [`IO_TIMEOUT`]).
+    /// (default 30 s, also the [`Client`]'s default socket timeout).
     pub io_timeout: Duration,
 }
 
@@ -116,7 +116,7 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// reactor threads (see [`crate::reactor`]).
+    /// reactor threads (see the module docs).
     pub fn start(addr: &str, engine: Arc<Engine>) -> std::io::Result<Server> {
         Server::start_with(addr, engine, ServerOptions::default())
     }

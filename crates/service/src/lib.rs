@@ -21,7 +21,11 @@
 //! * [`wire`] — the JSON codec for problems, compensators, errors and
 //!   diagnostics (on the vendored `minijson`);
 //! * [`engine`] — bounded job queue, worker threads, graceful shutdown,
-//!   per-job [`pieri_tracker::TrackStats`];
+//!   per-job [`pieri_tracker::TrackStats`]. Two ways in:
+//!   [`Engine::submit_async`] admits a job with a completion callback and
+//!   sheds on a full queue (the reactor's path); [`Engine::run`] is the
+//!   blocking helper on the same path, waiting for queue space and then
+//!   for the answer;
 //! * [`cache`] — the shape-keyed [`pieri_core::StartBundle`] cache
 //!   (build-once-per-shape, hits measured);
 //! * [`store`] — versioned on-disk bundle persistence so a restarted
@@ -32,12 +36,9 @@
 //! # In-process quickstart
 //!
 //! ```
-//! use pieri_service::{Engine, EngineConfig, JobRequest, BuildMode};
+//! use pieri_service::{Engine, EngineConfig, JobRequest};
 //!
-//! let engine = Engine::start(EngineConfig {
-//!     build_mode: BuildMode::Sequential,
-//!     ..EngineConfig::default()
-//! });
+//! let engine = Engine::start(EngineConfig::default());
 //! let job = JobRequest::SolvePieri { m: 2, p: 2, q: 0, seed: 1, certify: false };
 //! let cold = engine.run(job.clone()).unwrap();
 //! assert_eq!(cold.solutions, 2);
@@ -74,7 +75,7 @@ pub use pieri_chaos;
 /// this process's rings and registry.
 pub use pieri_trace;
 
-pub use cache::{BuildMode, CacheStats, ShapeCache};
-pub use engine::{Engine, EngineConfig, EngineStats, JobTicket, SupervisorConfig};
+pub use cache::{CacheStats, ShapeCache};
+pub use engine::{Engine, EngineConfig, EngineStats, SupervisorConfig};
 pub use http::{retry_decision, AttemptOutcome, Client, RetryPolicy, Server, ServerOptions};
 pub use job::{CompensatorAnswer, JobError, JobLimits, JobRequest, JobResult};

@@ -111,7 +111,10 @@ impl<T> RankedMutex<T> {
                 );
             }
         });
-        let guard = lock_recover(&self.inner);
+        let guard = self
+            .inner
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
         HELD.with(|held| held.borrow_mut().push((self.rank, self.name)));
         RankedGuard {
             guard,
@@ -166,15 +169,6 @@ impl<T> DerefMut for RankedGuard<'_, T> {
     }
 }
 
-/// Locks a plain `mutex`, recovering the guard if a previous holder
-/// panicked. The unranked primitive behind [`RankedMutex`]; prefer the
-/// ranked wrapper for anything shared between service threads.
-pub(crate) fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// Waits on `condvar` with a ranked guard, recovering the reacquired
 /// guard if the lock was poisoned while this thread slept. The guard's
 /// held-rank entry stays on the stack across the wait: the lock is
@@ -186,18 +180,10 @@ pub(crate) fn wait_recover<'a, T>(
     guard: RankedGuard<'a, T>,
 ) -> RankedGuard<'a, T> {
     let RankedGuard { guard, entry } = guard;
-    let guard = wait_recover_raw(condvar, guard);
-    RankedGuard { guard, entry }
-}
-
-/// [`wait_recover`] for a plain [`MutexGuard`] — poison recovery only.
-pub(crate) fn wait_recover_raw<'a, T>(
-    condvar: &Condvar,
-    guard: MutexGuard<'a, T>,
-) -> MutexGuard<'a, T> {
-    condvar
+    let guard = condvar
         .wait(guard)
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    RankedGuard { guard, entry }
 }
 
 /// [`wait_recover`] with a timeout: parks at most `timeout`, recovering
@@ -224,7 +210,7 @@ pub(crate) fn wait_timeout_recover<'a, T>(
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn held_snapshot() -> Vec<(u32, &'static str)> {
@@ -237,23 +223,24 @@ mod tests {
     /// subsequent request — into a panic. Recovery keeps serving.
     #[test]
     fn lock_recovers_after_holder_panics() {
-        let counter = Arc::new(Mutex::new(0usize));
+        let counter = Arc::new(RankedMutex::new("engine-queue", rank::ENGINE_QUEUE, 0usize));
         let poisoner = {
             let counter = counter.clone();
             std::thread::spawn(move || {
-                let mut n = counter.lock().expect("first lock");
+                let mut n = counter.lock_recover();
                 *n = 41;
                 panic!("die while holding the lock");
             })
         };
         assert!(poisoner.join().is_err(), "thread panicked as arranged");
-        assert!(counter.lock().is_err(), "mutex really is poisoned");
+        assert!(counter.inner.is_poisoned(), "mutex really is poisoned");
 
-        let mut n = lock_recover(&counter);
+        let mut n = counter.lock_recover();
         assert_eq!(*n, 41, "state from before the panic is intact");
         *n += 1;
         drop(n);
-        assert_eq!(*lock_recover(&counter), 42, "lock keeps working");
+        assert_eq!(*counter.lock_recover(), 42, "lock keeps working");
+        assert!(held_snapshot().is_empty());
     }
 
     /// Increasing-rank nesting passes, and the held stack empties when
@@ -407,30 +394,36 @@ mod tests {
     }
 
     #[test]
-    fn wait_recover_raw_on_poisoned_condvar_pair() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+    fn wait_recover_on_poisoned_condvar_pair() {
+        let pair = Arc::new((
+            RankedMutex::new("cache-slot", rank::CACHE_SLOT, false),
+            Condvar::new(),
+        ));
         // Poison the mutex first…
         {
             let pair = pair.clone();
             let t = std::thread::spawn(move || {
-                let _g = pair.0.lock().expect("first lock");
+                let _g = pair.0.lock_recover();
                 panic!("poison it");
             });
             assert!(t.join().is_err());
         }
+        assert!(pair.0.inner.is_poisoned(), "mutex really is poisoned");
         // …then prove a waiter still completes a wait/notify round-trip.
         let waker = {
             let pair = pair.clone();
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(10));
-                *lock_recover(&pair.0) = true;
+                *pair.0.lock_recover() = true;
                 pair.1.notify_all();
             })
         };
-        let mut ready = lock_recover(&pair.0);
+        let mut ready = pair.0.lock_recover();
         while !*ready {
-            ready = wait_recover_raw(&pair.1, ready);
+            ready = wait_recover(&pair.1, ready);
         }
+        drop(ready);
         waker.join().expect("waker exits cleanly");
+        assert!(held_snapshot().is_empty());
     }
 }

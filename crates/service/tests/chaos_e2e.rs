@@ -11,9 +11,9 @@
 
 use pieri_service::pieri_chaos::{self, FaultPlan};
 use pieri_service::{
-    BuildMode, Client, Engine, EngineConfig, JobRequest, RetryPolicy, Server, SupervisorConfig,
+    Client, Engine, EngineConfig, JobRequest, RetryPolicy, Server, SupervisorConfig,
 };
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Serialises chaos tests and scopes their fault plan.
@@ -54,7 +54,6 @@ fn engine_with(workers: usize, supervisor: SupervisorConfig) -> Engine {
     Engine::start(EngineConfig {
         workers,
         queue_capacity: 32,
-        build_mode: BuildMode::Sequential,
         supervisor,
         ..EngineConfig::default()
     })
@@ -97,13 +96,24 @@ fn queue_lock_panic_recovers_under_concurrent_load() {
         let eng = Arc::clone(&eng);
         move || {
             // Submit everything up front so admissions race the panic,
-            // then collect: every ticket must resolve successfully.
-            let tickets: Vec<_> = (0..8)
-                .map(|seed| eng.submit(solve_req(seed)).expect("admitted"))
+            // then collect: every answer must come back successfully.
+            let answers: Vec<_> = (0..8)
+                .map(|seed| {
+                    let (tx, rx) = mpsc::channel();
+                    eng.submit_async(solve_req(seed), None, 0, move |result| {
+                        let _ = tx.send(result);
+                    })
+                    .expect("admitted");
+                    rx
+                })
                 .collect();
-            tickets
+            answers
                 .into_iter()
-                .map(|t| t.wait().expect("answered despite the panic"))
+                .map(|rx| {
+                    rx.recv()
+                        .expect("answered")
+                        .expect("answered despite the panic")
+                })
                 .collect()
         }
     });
@@ -269,7 +279,6 @@ fn torn_store_write_rebuilds_bitwise_identically() {
     let config = || EngineConfig {
         workers: 1,
         queue_capacity: 8,
-        build_mode: BuildMode::Sequential,
         bundle_store: Some(dir.clone()),
         ..EngineConfig::default()
     };
@@ -307,7 +316,6 @@ fn enospc_on_save_degrades_to_no_persistence() {
     let eng = Engine::start(EngineConfig {
         workers: 1,
         queue_capacity: 8,
-        build_mode: BuildMode::Sequential,
         bundle_store: Some(dir.clone()),
         ..EngineConfig::default()
     });

@@ -4,20 +4,17 @@
 //! the reactor's idle sweep enforces the per-server budgets from
 //! [`ServerOptions`] while exempting connections with work in flight.
 
-use pieri_service::{
-    BuildMode, Client, Engine, EngineConfig, JobRequest, RetryPolicy, Server, ServerOptions,
-};
+use pieri_service::{Client, Engine, EngineConfig, JobRequest, RetryPolicy, Server, ServerOptions};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn engine_config(dir: Option<std::path::PathBuf>) -> EngineConfig {
     EngineConfig {
         workers: 2,
         queue_capacity: 64,
-        build_mode: BuildMode::Sequential,
         bundle_store: dir,
         ..EngineConfig::default()
     }
@@ -242,7 +239,6 @@ fn connection_with_queued_job_outlives_the_sweep_budgets() {
     let engine = Arc::new(Engine::start(EngineConfig {
         workers: 1,
         queue_capacity: 16,
-        build_mode: BuildMode::Sequential,
         ..EngineConfig::default()
     }));
     // Occupy the single worker with cold, distinct-shape builds so the
@@ -250,15 +246,20 @@ fn connection_with_queued_job_outlives_the_sweep_budgets() {
     let busy: Vec<_> = [(3usize, 2usize), (4, 2)]
         .iter()
         .map(|&(m, p)| {
+            let job = JobRequest::SolvePieri {
+                m,
+                p,
+                q: 0,
+                seed: 1,
+                certify: false,
+            };
+            let (tx, rx) = mpsc::channel();
             engine
-                .submit(JobRequest::SolvePieri {
-                    m,
-                    p,
-                    q: 0,
-                    seed: 1,
-                    certify: false,
+                .submit_async(job, None, 0, move |result| {
+                    let _ = tx.send(result);
                 })
-                .expect("admit busy job")
+                .expect("admit busy job");
+            rx
         })
         .collect();
     let server = Server::start_with(
@@ -277,8 +278,8 @@ fn connection_with_queued_job_outlives_the_sweep_budgets() {
         .solve(&solve_req(7))
         .expect("queued request answered, not swept");
     assert_eq!(result.solutions, 2);
-    for ticket in busy {
-        ticket.wait().expect("busy job");
+    for answer in busy {
+        answer.recv().expect("answered").expect("busy job");
     }
     server.engine().shutdown();
     server.shutdown();

@@ -5,19 +5,35 @@
 //! on-disk bundle store.
 
 use minijson::Value;
-use pieri_service::{wire, BuildMode, Client, Engine, EngineConfig, JobError, JobRequest, Server};
+use pieri_service::{wire, Client, Engine, EngineConfig, JobError, JobRequest, JobResult, Server};
+use pieri_tracker::CancelToken;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 fn engine(workers: usize, capacity: usize) -> Engine {
     Engine::start(EngineConfig {
         workers,
         queue_capacity: capacity,
-        build_mode: BuildMode::Sequential,
         ..EngineConfig::default()
     })
+}
+
+type Answer = mpsc::Receiver<Result<JobResult, JobError>>;
+
+/// Non-blocking admission: the receiver yields the answer, the token
+/// cancels the job early.
+fn submit(
+    eng: &Engine,
+    req: JobRequest,
+    deadline: Option<Instant>,
+) -> Result<(Answer, CancelToken), JobError> {
+    let (tx, rx) = mpsc::channel();
+    let cancel = eng.submit_async(req, deadline, 0, move |result| {
+        let _ = tx.send(result);
+    })?;
+    Ok((rx, cancel))
 }
 
 fn solve_req(seed: u64) -> JobRequest {
@@ -52,7 +68,7 @@ fn satellite_place(seed: u64) -> JobRequest {
 fn cancelled_in_queue_answers_without_touching_the_solver() {
     let eng = engine(1, 8);
     // Occupy the single worker with a cold job…
-    let busy = eng.submit(satellite_place(100)).expect("admit busy job");
+    let (busy, _) = submit(&eng, satellite_place(100), None).expect("admit busy job");
     // …then queue a job for a shape the cache has never seen and cancel
     // it while it waits.
     let victim = JobRequest::SolvePieri {
@@ -62,12 +78,13 @@ fn cancelled_in_queue_answers_without_touching_the_solver() {
         seed: 1,
         certify: false,
     };
-    let (ticket, cancel) = eng
-        .submit_with_deadline(victim, None)
-        .expect("admit victim");
+    let (answer, cancel) = submit(&eng, victim, None).expect("admit victim");
     cancel.cancel();
 
-    let err = ticket.wait().expect_err("cancelled job must not succeed");
+    let err = answer
+        .recv()
+        .expect("answered")
+        .expect_err("cancelled job must not succeed");
     let JobError::DeadlineExceeded { detail } = &err else {
         panic!("expected DeadlineExceeded, got {err:?}");
     };
@@ -75,7 +92,7 @@ fn cancelled_in_queue_answers_without_touching_the_solver() {
         detail.contains("solver not invoked"),
         "expired-in-queue detail names the skipped solver: {detail}"
     );
-    busy.wait().expect("busy job unaffected");
+    busy.recv().expect("answered").expect("busy job unaffected");
 
     let stats = eng.stats();
     assert_eq!(stats.deadline_expired, 1);
@@ -97,10 +114,11 @@ fn deadline_lapse_never_yields_partial_results() {
     // the queue or between continuation paths — both must answer with
     // the structured error and withhold any partial solution set.
     let deadline = Instant::now() + Duration::from_millis(1);
-    let (ticket, _cancel) = eng
-        .submit_with_deadline(satellite_place(200), Some(deadline))
-        .expect("admit");
-    let err = ticket.wait().expect_err("lapsed deadline must not succeed");
+    let (answer, _cancel) = submit(&eng, satellite_place(200), Some(deadline)).expect("admit");
+    let err = answer
+        .recv()
+        .expect("answered")
+        .expect_err("lapsed deadline must not succeed");
     let JobError::DeadlineExceeded { detail } = &err else {
         panic!("expected DeadlineExceeded, got {err:?}");
     };
@@ -287,7 +305,6 @@ fn overload_sheds_structured_503_and_recovers() {
     let engine = Arc::new(Engine::start(EngineConfig {
         workers: 1,
         queue_capacity: 2,
-        build_mode: BuildMode::Sequential,
         ..EngineConfig::default()
     }));
     let server = Server::start("127.0.0.1:0", engine).expect("bind");
@@ -356,7 +373,6 @@ fn warm_restart_answers_first_request_from_the_store() {
     let config = || EngineConfig {
         workers: 1,
         queue_capacity: 8,
-        build_mode: BuildMode::Sequential,
         bundle_store: Some(dir.clone()),
         ..EngineConfig::default()
     };

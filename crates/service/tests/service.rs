@@ -4,14 +4,13 @@
 //! a single-thread pool.
 
 use pieri_num::seeded_rng;
-use pieri_service::{BuildMode, Engine, EngineConfig, JobRequest};
+use pieri_service::{Engine, EngineConfig, JobRequest};
 use std::sync::Arc;
 
-fn engine(workers: usize, capacity: usize, mode: BuildMode) -> Engine {
+fn engine(workers: usize, capacity: usize) -> Engine {
     Engine::start(EngineConfig {
         workers,
         queue_capacity: capacity,
-        build_mode: mode,
         ..EngineConfig::default()
     })
 }
@@ -34,7 +33,7 @@ fn satellite_place(seed: u64) -> JobRequest {
 /// produce bitwise-identical compensators.
 #[test]
 fn cache_determinism_bitwise() {
-    let engine = engine(2, 16, BuildMode::TreeParallel);
+    let engine = engine(2, 16);
     let cold = engine.run(satellite_place(1234)).unwrap();
     let warm = engine.run(satellite_place(1234)).unwrap();
 
@@ -72,7 +71,7 @@ fn cache_determinism_bitwise() {
 /// measured point of the cache.
 #[test]
 fn warm_path_tracks_only_root_paths() {
-    let engine = engine(1, 8, BuildMode::Sequential);
+    let engine = engine(1, 8);
     let _ = engine.run(satellite_place(5)).unwrap();
     let warm = engine.run(satellite_place(6)).unwrap();
     assert!(warm.cache_hit);
@@ -85,7 +84,7 @@ fn warm_path_tracks_only_root_paths() {
 /// built exactly once, all remaining requests hit.
 #[test]
 fn stress_more_jobs_than_workers() {
-    let engine = Arc::new(engine(2, 64, BuildMode::Sequential));
+    let engine = Arc::new(engine(2, 64));
     let clients = 8;
     let per_client = 4;
     let handles: Vec<_> = (0..clients)
@@ -127,7 +126,7 @@ fn stress_more_jobs_than_workers() {
 /// of *different* shapes must not interfere (each is built once).
 #[test]
 fn stress_more_workers_than_jobs() {
-    let engine = Arc::new(engine(8, 64, BuildMode::Sequential));
+    let engine = Arc::new(engine(8, 64));
     let shapes = [(2usize, 2usize, 0usize), (3, 2, 0), (2, 1, 1)];
     let handles: Vec<_> = shapes
         .iter()
@@ -161,7 +160,7 @@ fn stress_more_workers_than_jobs() {
 /// rest share it, and all answers for the same seed are identical.
 #[test]
 fn stress_same_cold_shape_races() {
-    let engine = Arc::new(engine(6, 64, BuildMode::Sequential));
+    let engine = Arc::new(engine(6, 64));
     let handles: Vec<_> = (0..6)
         .map(|_| {
             let engine = engine.clone();

@@ -11,7 +11,7 @@
 //! Always-on (no `trace` feature needed): the metrics registry is
 //! unconditional.
 
-use pieri_service::{BuildMode, Engine, EngineConfig, JobRequest};
+use pieri_service::{Engine, EngineConfig, JobRequest};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -32,7 +32,6 @@ fn stats_snapshots_hold_invariants_under_load() {
     let engine = Arc::new(Engine::start(EngineConfig {
         workers: 2,
         queue_capacity: 3,
-        build_mode: BuildMode::Sequential,
         ..EngineConfig::default()
     }));
     let stop = Arc::new(AtomicBool::new(false));
@@ -79,18 +78,17 @@ fn stats_snapshots_hold_invariants_under_load() {
                     // Valid work (one shape: warm after the first build).
                     let _ = engine.run(quick_job(worker * 1000 + round));
                     // Invalid request: rejected at admission.
-                    let _ = engine.submit(JobRequest::SolvePieri {
+                    let invalid = JobRequest::SolvePieri {
                         m: 0,
                         p: 0,
                         q: 0,
                         seed: 1,
                         certify: false,
-                    });
+                    };
+                    let _ = engine.submit_async(invalid, None, 0, |_| {});
                     // Already-lapsed deadline: shed at admission.
-                    let _ = engine.submit_with_deadline(
-                        quick_job(round),
-                        Some(Instant::now() - Duration::from_millis(1)),
-                    );
+                    let lapsed = Instant::now() - Duration::from_millis(1);
+                    let _ = engine.submit_async(quick_job(round), Some(lapsed), 0, |_| {});
                     // Async flood against the 3-deep queue: some of
                     // these shed as QueueFull under concurrency.
                     for burst in 0..4u64 {

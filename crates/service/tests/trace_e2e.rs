@@ -11,7 +11,7 @@
 
 use minijson::Value;
 use pieri_service::pieri_trace::{self, TraceConfig};
-use pieri_service::{BuildMode, Engine, EngineConfig, Server};
+use pieri_service::{Engine, EngineConfig, Server};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -20,7 +20,6 @@ fn boot() -> (Server, SocketAddr) {
     let engine = Arc::new(Engine::start(EngineConfig {
         workers: 2,
         queue_capacity: 16,
-        build_mode: BuildMode::Sequential,
         ..EngineConfig::default()
     }));
     let server = Server::start("127.0.0.1:0", engine).expect("bind ephemeral port");

@@ -2,7 +2,7 @@
 //!
 //! The paper's speedup tables were measured on the 128-CPU Platinum
 //! cluster at NCSA; this workspace's build machine has one core, so the
-//! cluster is replaced by a faithful discrete-event model (DESIGN.md §3):
+//! cluster is replaced by a faithful discrete-event model:
 //!
 //! * a **workload** is a list of per-path costs — measured by the real
 //!   tracker on this machine, or drawn from the calibrated synthetic

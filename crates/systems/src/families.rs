@@ -186,8 +186,8 @@ pub fn eco(n: usize) -> PolySystem {
 /// degree `2^{2k}` — so a total-degree homotopy has a large fraction of
 /// divergent paths of near-uniform cost. That is precisely the workload
 /// statistics of the RPS mechanism system of Table II (9,216 paths, 8,192
-/// divergent), whose explicit equations are not published; DESIGN.md
-/// documents the substitution.
+/// divergent), whose explicit equations are not published — so this
+/// family stands in for it wherever the RPS workload is measured.
 pub fn bilinear_system<R: Rng + ?Sized>(k: usize, rng: &mut R) -> PolySystem {
     assert!(k >= 1, "bilinear system needs k ≥ 1");
     let nv = 2 * k;

@@ -12,7 +12,7 @@
 //!   unpublished RPS equations: generic bilinear systems are *deficient*
 //!   with respect to their total degree, so a large, uniform-cost fraction
 //!   of paths diverges, which is exactly the load-balancing regime Table II
-//!   of the paper studies (see DESIGN.md §3 for the substitution argument);
+//!   of the paper studies (its docs give the substitution argument);
 //! * [`solve_by_total_degree`] — the one-call sequential solver used by
 //!   tests, examples and benches.
 

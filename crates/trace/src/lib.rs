@@ -13,7 +13,7 @@
 //!   (registration-order reads, SeqCst counters: a dependent counter
 //!   registered before its superset can never be observed ahead of
 //!   it) and render to Prometheus text exposition format.
-//! * [`span`] — structured spans and events recorded into per-thread
+//! * [`span`](mod@span) — structured spans and events recorded into per-thread
 //!   ring buffers via `try_lock` (a contended writer drops the record
 //!   and bumps a counter; it never parks). Consumers compile these to
 //!   `#[inline(always)]` no-ops unless their `trace` feature is on —

@@ -4,10 +4,11 @@
 //! implementations (poset solver vs tree scheduler, charpoly vs
 //! eigenvalues, real tracker vs simulator accounting).
 
+use pieri::certify::CertifyPolicy;
 use pieri::control::{conjugate_pole_set, Plant, PolePlacement, StateSpace};
 use pieri::linalg::eigenvalues;
 use pieri::num::{seeded_rng, Complex64};
-use pieri::parallel::solve_tree_parallel;
+use pieri::parallel::solve_tree_parallel_prepared;
 use pieri::schubert::{self, PieriProblem, Poset, Shape};
 use pieri::sim::{simulate_tree_dynamic, SimParams, TreeWorkload};
 use pieri::tracker::TrackSettings;
@@ -40,7 +41,8 @@ fn sequential_and_parallel_pieri_agree_on_231() {
     assert_eq!(seq.records.len(), 252);
     assert!(seq.max_residual(&problem) < 1e-7);
 
-    let (par, stats) = solve_tree_parallel(&problem, &TrackSettings::default(), 4);
+    let poset = Poset::build(&shape);
+    let (par, stats) = solve_tree_parallel_prepared(&problem, &poset, &TrackSettings::default(), 4);
     assert_eq!(par.failures, 0);
     assert!(
         maps_match(&seq.maps, &par.maps, 1e-6),
@@ -127,6 +129,7 @@ fn generic_start_system_reused_across_instances() {
             &start.coeffs,
             &target,
             &TrackSettings::default(),
+            &CertifyPolicy::off(),
         );
         // Both solutions reached (generic plants have proper solutions).
         assert_eq!(cont.maps.len() + cont.diverged + cont.failed, 2);
