@@ -1,20 +1,21 @@
 //! Rule `span-guard`: a span guard must be *bound*, never dropped on
 //! the line that created it.
 //!
-//! The trace layer's RAII guards ([`pieri_trace::SpanGuard`] and the
-//! service/tracker shims that return it) measure the scope they live
-//! in. Calling a guard-returning function in statement position —
-//! `request_span("parse", id);` or `let _ = job_span(id);` — drops the
-//! guard immediately, recording a zero-length span that *looks* like
-//! instrumentation but measures nothing. That bug is invisible at the
-//! call site and compiles clean, so it is caught here instead.
+//! The trace layer's RAII guards ([`pieri_trace::SpanGuard`], and the
+//! tracker's shim that returns it) measure the scope they live in.
+//! Calling a guard-returning function in statement position —
+//! `span_for("admit", "http", id);` or `let _ = phase_span("retrack");`
+//! — drops the guard immediately, recording a zero-length span that
+//! *looks* like instrumentation but measures nothing. That bug is
+//! invisible at the call site and compiles clean, so it is caught here
+//! instead.
 //!
 //! A call is considered guard-returning when the callee's final path
 //! segment is `span`, `span_for`, or ends in `_span` — the repo's
-//! naming convention for guard constructors (`request_span`,
-//! `job_span`, `phase_span`). Closed-span recorders deliberately avoid
-//! the suffix (`span_closed`, `note_queue_wait`, `request_done`) and
-//! are not matched. Test code is exempt.
+//! naming convention for guard constructors (`deep_span`,
+//! `phase_span`, `step_span`). Closed-span recorders deliberately avoid
+//! the suffix (`span_closed`, `event`) and are not matched. Test code
+//! is exempt.
 
 use crate::model::SourceFile;
 use crate::rules::{Finding, Rule};

@@ -26,10 +26,11 @@
 //!
 //! `--trace-out PATH` installs the `pieri-trace` recorder before the
 //! run and writes everything it captured as Chrome `trace_event` JSON
-//! on exit (open the file in `chrome://tracing` or Perfetto). The
-//! server-side spans — parse/admit/queue.wait/track/render per request
-//! — only exist when the stack is built with `--features trace`;
-//! without it the flag still writes a valid (near-empty) document.
+//! on exit (open the file in `chrome://tracing` or Perfetto), with the
+//! count of records the recorder dropped. The server-side spans —
+//! parse/admit/queue.wait/track/render per request — are recorded in
+//! every build; the tracker's predict/correct spans additionally need
+//! `--features pieri-tracker/trace`.
 //!
 //! `loadgen restart` runs the **zero-downtime restart drill** instead:
 //! a swarm of retrying clients hammers server A (bound with
@@ -212,13 +213,9 @@ fn write_trace(path: &std::path::Path) {
         "exported trace is not a Chrome trace_event document"
     );
     println!(
-        "\ntrace: {events} span(s) exported to {} ({})",
+        "\ntrace: {events} span(s) exported to {}, {} dropped (open in chrome://tracing or Perfetto)",
         path.display(),
-        if cfg!(feature = "trace") {
-            "open in chrome://tracing or Perfetto"
-        } else {
-            "rebuild with --features trace to capture service spans"
-        }
+        pieri_trace::dropped_spans(),
     );
 }
 

@@ -358,9 +358,9 @@ impl Engine {
         assert!(config.queue_capacity >= 1, "queue capacity must be ≥ 1");
         // Honour `PIERI_TRACE` on every engine start so any binary
         // embedding the service (examples, loadgen, operator tools)
-        // records spans without code changes. A no-op when the
-        // variable is unset or a recorder is already installed by the
-        // harness; the metrics registry below is on regardless.
+        // records spans without code changes or a rebuild. A no-op
+        // when the variable is unset or a recorder is already installed
+        // by the harness; the metrics registry below is on regardless.
         if !pieri_trace::enabled() {
             pieri_trace::install_from_env();
         }
@@ -785,7 +785,12 @@ fn worker_loop(shared: &Arc<Shared>, id: usize, generation: u64) {
         // The queue wait crosses threads (stamped at enqueue, observed
         // here), so it is recorded as an already-closed span rather
         // than an RAII guard.
-        crate::trace::note_queue_wait(trace_id, queue_wait);
+        pieri_trace::span_closed(
+            "queue.wait",
+            "engine",
+            trace_id,
+            queue_wait.as_micros().min(u64::MAX as u128) as u64,
+        );
         // Expired-before-dequeue: the deadline (or an explicit cancel)
         // fired while the job sat in the queue — answer structurally
         // without ever invoking the solver.
@@ -818,11 +823,16 @@ fn worker_loop(shared: &Arc<Shared>, id: usize, generation: u64) {
             }
             // The cancel scope makes the token visible to the
             // continuation drivers, which consult it between paths.
-            // The job scope sets this thread's current trace id for
-            // the duration (tracker spans inherit it) and wraps the
-            // solve in a "track" span.
-            let _span = crate::trace::job_span(trace_id);
-            pieri_tracker::cancel::scope(&cancel, || execute(shared, &req, queue_wait))
+            // The solve runs under the request's trace id (tracker
+            // spans inherit it) inside a "track" span; `execute` never
+            // unwinds, so the previous id is always restored.
+            let prev = pieri_trace::set_current_trace(trace_id);
+            let result = {
+                let _span = pieri_trace::span_for("track", "engine", trace_id);
+                pieri_tracker::cancel::scope(&cancel, || execute(shared, &req, queue_wait))
+            };
+            pieri_trace::set_current_trace(prev);
+            result
         };
         // Completion: take the claim back out of the slot. Whoever
         // takes it answers; if the supervisor already did (we were

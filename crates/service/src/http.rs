@@ -257,8 +257,8 @@ pub(crate) struct ParsedHead {
     deadline_ms: Option<u64>,
     /// The request's trace id: the `x-trace-id` header when it parsed
     /// (1–16 hex digits, nonzero), else freshly generated — and always
-    /// 0 when tracing is compiled out or not installed. A malformed
-    /// header never fails the request; it is treated as absent.
+    /// 0 while no trace recorder is installed. A malformed header never
+    /// fails the request; it is treated as absent.
     pub(crate) trace_id: u64,
     /// Byte offset of the body within the parse buffer.
     pub(crate) body_start: usize,
@@ -369,7 +369,13 @@ pub(crate) fn parse_request(buf: &[u8]) -> Parse {
         path: path.to_string(),
         keep_alive,
         deadline_ms,
-        trace_id: crate::trace::request_trace_id(trace_header),
+        trace_id: if pieri_trace::enabled() {
+            trace_header
+                .and_then(pieri_trace::parse_trace_id)
+                .unwrap_or_else(pieri_trace::next_trace_id)
+        } else {
+            0
+        },
         body_start,
         body_len: content_length,
     })

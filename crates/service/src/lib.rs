@@ -59,7 +59,6 @@ pub mod job;
 mod reactor;
 pub mod store;
 mod sync;
-mod trace;
 pub mod wire;
 
 /// The deterministic fault-injection registry (`chaos` feature only),
@@ -68,9 +67,9 @@ pub mod wire;
 #[cfg(feature = "chaos")]
 pub use pieri_chaos;
 
-/// The observability layer (always compiled: the metrics registry
-/// behind `/v1/stats` and `/v1/metrics` is unconditional; spans and
-/// trace ids additionally need the `trace` feature), re-exported so
+/// The observability layer: the metrics registry behind `/v1/stats`
+/// and `/v1/metrics` is always on, while spans and trace ids record
+/// once a [`pieri_trace::TraceConfig`] is installed. Re-exported so
 /// integration tests and harnesses can install trace configs and read
 /// this process's rings and registry.
 pub use pieri_trace;

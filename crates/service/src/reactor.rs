@@ -192,6 +192,9 @@ impl ReactorShared {
     /// Wakes the reactor thread (used by [`crate::http::Server`] on
     /// shutdown; queue pushes wake internally).
     pub(crate) fn wake(&self) {
+        // Recorded on the waking thread (an engine worker or the
+        // acceptor), marking the cross-thread nudge itself.
+        pieri_trace::event("waker.notify", "io");
         let _ = self.waker.wake();
     }
 }
@@ -373,8 +376,13 @@ impl Reactor {
         // lint:allow(no-blocking-in-nonblocking) — AtomicBool::load; the name-keyed call graph resolves `load` to the store's file loader
         while !self.stop.load(Ordering::SeqCst) {
             // lint:allow(no-blocking-in-nonblocking) — epoll_wait with a bounded timeout; the chaos-feature hook inside takes one bounded registry lock
-            if self.poll.poll(&mut events, Some(POLL_TICK)).is_err() {
+            let Ok(ready) = self.poll.poll(&mut events, Some(POLL_TICK)) else {
                 break;
+            };
+            // One event per productive wakeup; idle timeout ticks stay
+            // silent to keep the rings signal-dense.
+            if ready > 0 {
+                pieri_trace::event("poll.wake", "io");
             }
             // lint:allow(no-blocking-in-nonblocking) — AtomicBool::load; the name-keyed call graph resolves `load` to the store's file loader
             if !self.drain_started && self.draining.load(Ordering::SeqCst) {
@@ -670,8 +678,16 @@ impl Reactor {
                 }
             };
             let (head, body, seq, close_after) = parsed;
-            crate::trace::note_parse(head.trace_id, parse_start.elapsed());
-            let _span = crate::trace::request_span("admit", head.trace_id);
+            // The trace id only exists once parsing finishes, so the
+            // parse is recorded as an already-closed span.
+            // lint:allow(no-blocking-in-nonblocking) — span recording only try_locks its ring and the trace store; its one blocking lock registers this thread's ring once per install
+            pieri_trace::span_closed(
+                "parse",
+                "http",
+                head.trace_id,
+                parse_start.elapsed().as_micros().min(u64::MAX as u128) as u64,
+            );
+            let _span = pieri_trace::span_for("admit", "http", head.trace_id);
             // lint:allow(no-blocking-in-nonblocking) — dispatch submits async; engine admission sheds instead of waiting
             let slot = self.dispatch(token, seq, &head, &body, close_after);
             if let Some(conn) = self.conns.get_mut(&token) {
@@ -735,9 +751,9 @@ impl Reactor {
             }
             ("GET", path) if path.starts_with("/v1/trace/") => {
                 let suffix = &path["/v1/trace/".len()..];
-                // lint:allow(no-blocking-in-nonblocking) — trace_lookup is a bounded copy under the trace-store lock
                 let found = pieri_trace::parse_trace_id(suffix)
-                    .and_then(|id| crate::trace::trace_lookup(id).map(|spans| (id, spans)));
+                    // lint:allow(no-blocking-in-nonblocking) — trace_spans is a bounded copy under the trace-store lock
+                    .and_then(|id| pieri_trace::trace_spans(id).map(|spans| (id, spans)));
                 match found {
                     Some((id, spans)) => ready(200, wire::trace_to_json(id, &spans)),
                     None => {
@@ -930,7 +946,8 @@ impl Reactor {
                 let keep = !slot.close_after;
                 let (rendered, status) = match &slot.state {
                     SlotState::Ready { status, body } => {
-                        let _span = crate::trace::request_span("render", slot.trace_id);
+                        // lint:allow(no-blocking-in-nonblocking) — span recording only try_locks its ring and the trace store; its one blocking lock registers this thread's ring once per install
+                        let _span = pieri_trace::span_for("render", "http", slot.trace_id);
                         // lint:allow(no-blocking-in-nonblocking) — renders into a Vec<u8>; the flagged `write` is minijson's in-memory buffer
                         let bytes = http::render_response(*status, body, keep, slot.trace_id);
                         (bytes, *status)
@@ -944,12 +961,11 @@ impl Reactor {
                 let elapsed = slot.started.elapsed();
                 self.http_metrics.requests[slot.class].inc();
                 self.http_metrics.latency_us[slot.class].record_duration(elapsed);
-                crate::trace::request_done(
-                    PATH_CLASSES[slot.class],
-                    status,
-                    slot.trace_id,
-                    elapsed,
-                );
+                // Close out the request: the whole-request span, and the
+                // slow-request log when a threshold is configured.
+                let us = elapsed.as_micros().min(u64::MAX as u128) as u64;
+                pieri_trace::span_closed("request", "http", slot.trace_id, us);
+                pieri_trace::slow_request(PATH_CLASSES[slot.class], status, slot.trace_id, us);
                 if slot.close_after {
                     conn.closing = true;
                 }

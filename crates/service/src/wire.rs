@@ -519,10 +519,7 @@ pub fn build_info_json() -> Value {
         ),
         (
             "features",
-            object([
-                ("trace", Value::Bool(cfg!(feature = "trace"))),
-                ("chaos", Value::Bool(cfg!(feature = "chaos"))),
-            ]),
+            object([("chaos", Value::Bool(cfg!(feature = "chaos")))]),
         ),
     ])
 }

@@ -195,6 +195,65 @@ fn post(path: &str, body: &Value, extra: &str, keep_alive: bool) -> String {
     )
 }
 
+/// One request on a fresh connection, read to EOF (send it with
+/// `Connection: close`); returns the lower-cased head and the body.
+fn raw_response(addr: std::net::SocketAddr, request: &str) -> (String, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    stream.write_all(request.as_bytes()).expect("send");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read");
+    let (head, body) = raw.split_once("\r\n\r\n").expect("head terminator");
+    (head.to_ascii_lowercase(), body.to_string())
+}
+
+// ---- tracing off -------------------------------------------------------
+
+/// The path both benchmark workloads run: no trace recorder installed.
+/// No trace id is honoured, minted or echoed, nothing is recorded, and
+/// the build block names no `trace` feature.
+#[test]
+fn without_a_recorder_requests_carry_no_trace_ids() {
+    if std::env::var_os(pieri_service::pieri_trace::ENV_VAR).is_some() {
+        // `Engine::start` would install a recorder from the environment.
+        return;
+    }
+    let server = Server::start("127.0.0.1:0", Arc::new(engine(1, 4))).expect("bind");
+    let addr = server.addr();
+
+    let solve = post(
+        "/v1/solve",
+        &wire::request_to_json(&solve_req(3)),
+        "x-trace-id: abc123\r\n",
+        false,
+    );
+    let (head, body) = raw_response(addr, &solve);
+    assert!(head.starts_with("http/1.1 200"), "{head}\n{body}");
+    assert!(!head.contains("x-trace-id"), "{head}");
+
+    let lookup = "GET /v1/trace/abc123 HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n";
+    let (head, _) = raw_response(addr, lookup);
+    assert!(head.starts_with("http/1.1 404"), "{head}");
+
+    let health = "GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n";
+    let (head, body) = raw_response(addr, health);
+    assert!(head.starts_with("http/1.1 200"), "{head}");
+    assert!(!head.contains("x-trace-id"), "{head}");
+    let features = minijson::parse(&body)
+        .expect("health JSON")
+        .get("build")
+        .and_then(|b| b.get("features"))
+        .cloned()
+        .expect("build.features");
+    assert!(features.get("trace").is_none(), "{}", features.serialize());
+    assert!(features.get("chaos").is_some(), "{}", features.serialize());
+
+    server.engine().shutdown();
+    server.shutdown();
+}
+
 // ---- pipelining --------------------------------------------------------
 
 #[test]

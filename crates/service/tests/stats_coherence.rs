@@ -8,8 +8,7 @@
 //! valid, invalid, lapsed-deadline and queue-flooding submissions to
 //! catch any regression in either ordering.
 //!
-//! Always-on (no `trace` feature needed): the metrics registry is
-//! unconditional.
+//! Needs no trace recorder: the metrics registry is always on.
 
 use pieri_service::{Engine, EngineConfig, JobRequest};
 use std::sync::atomic::{AtomicBool, Ordering};

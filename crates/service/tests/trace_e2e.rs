@@ -1,6 +1,6 @@
-//! Gated end-to-end trace test (`cargo test -p pieri-service --test
-//! trace_e2e --features trace`): boots the server with tracing
-//! installed, sends a solve carrying an explicit `x-trace-id`, and
+//! End-to-end trace test (`cargo test -p pieri-service --test
+//! trace_e2e`): boots the server with a trace recorder installed,
+//! sends a solve carrying an explicit `x-trace-id`, and
 //! resolves that id through `/v1/trace/<id>` to a span tree covering
 //! queue → track → render. Also validates `/v1/metrics` as Prometheus
 //! text exposition with the trace crate's own parser.

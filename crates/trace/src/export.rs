@@ -42,7 +42,7 @@ pub fn chrome_json() -> String {
         };
         for ring in rings.iter() {
             // lint:lock-rank(trace-ring, 2)
-            let buf = ring.buf.lock().unwrap_or_else(|e| e.into_inner());
+            let buf = ring.lock().unwrap_or_else(|e| e.into_inner());
             for rec in &buf.records {
                 records.push((rec.tid, *rec));
             }

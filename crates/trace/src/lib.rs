@@ -15,9 +15,9 @@
 //!   it) and render to Prometheus text exposition format.
 //! * [`span`](mod@span) — structured spans and events recorded into per-thread
 //!   ring buffers via `try_lock` (a contended writer drops the record
-//!   and bumps a counter; it never parks). Consumers compile these to
-//!   `#[inline(always)]` no-ops unless their `trace` feature is on —
-//!   the same pattern as `pieri-chaos`.
+//!   and counts it in [`dropped_spans`]; it never parks). Installing a
+//!   [`TraceConfig`] is the only switch: until then every recording
+//!   site costs one relaxed atomic load.
 //! * [`export`] — Chrome `trace_event` JSON export of the ring
 //!   contents, plus the bounded recent-trace store behind the
 //!   service's `/v1/trace/<id>` endpoint.
@@ -57,9 +57,9 @@ pub use metrics::{
     MetricSnapshot, MetricValue, Registry, Snapshot,
 };
 pub use span::{
-    clear, current_trace, deep_enabled, deep_span, enabled, event, install, install_from_env,
-    next_trace_id, set_current_trace, slow_request, span, span_closed, span_for, SpanGuard,
-    SpanRecord, TraceConfig,
+    clear, current_trace, deep_enabled, deep_span, dropped_spans, enabled, event, install,
+    install_from_env, next_trace_id, set_current_trace, slow_request, span, span_closed, span_for,
+    SpanGuard, SpanRecord, TraceConfig,
 };
 
 /// Serializes every test that touches the process-global span state
@@ -68,7 +68,7 @@ pub use span::{
 pub(crate) static TEST_GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Environment variable consulted by [`install_from_env`]: set
-/// `PIERI_TRACE=1` (or `ring=65536;recent=512;slow_ms=50;out=trace.json`)
+/// `PIERI_TRACE=1` (or `ring=65536;recent=512;slow_ms=50;deep=1`)
 /// to enable tracing at process start without touching code.
 pub const ENV_VAR: &str = "PIERI_TRACE";
 

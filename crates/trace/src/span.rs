@@ -2,22 +2,20 @@
 //!
 //! Recording discipline: a writer takes `try_lock` on its own thread's
 //! ring (and on the recent-trace store) — it **never parks**. A
-//! contended push is dropped and counted, so instrumentation can sit
-//! next to nonblocking reactor code without violating its guarantees.
-//! Both locks rank *below* every service lock (`trace-ring` = 2,
-//! `trace-store` = 3, under `reactor-inbox` = 4), which forces span
-//! sites to live outside service critical sections.
+//! contended push is dropped and counted ([`dropped_spans`]), so
+//! instrumentation can sit next to nonblocking reactor code without
+//! violating its guarantees. Both locks rank *below* every service lock
+//! (`trace-ring` = 2, `trace-store` = 3, under `reactor-inbox` = 4),
+//! which forces span sites to live outside service critical sections.
 //!
 //! Everything here is a no-op while no [`TraceConfig`] is installed:
-//! [`span`] checks one relaxed atomic and returns an inert guard.
-//! Consumers additionally compile the calls out entirely unless their
-//! `trace` feature is on (see `crates/service/src/trace.rs`).
+//! every recording site checks one relaxed atomic and returns (or hands
+//! back an inert guard). Installing a config is the only switch.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 /// Runtime configuration for the span layer.
@@ -28,14 +26,9 @@ pub struct TraceConfig {
     /// How many distinct trace ids the recent-trace store retains
     /// (FIFO eviction).
     pub recent_traces: usize,
-    /// Per-trace span cap in the store (excess spans are dropped).
-    pub max_spans_per_trace: usize,
     /// Slow-request threshold in microseconds; `0` disables the
     /// slow-request log.
     pub slow_request_us: u64,
-    /// When set, [`crate::export_chrome`] destination recorded for
-    /// harnesses that export on shutdown (e.g. loadgen `--trace-out`).
-    pub export_path: Option<PathBuf>,
     /// Record *deep* (per-step) spans — the tracker's per-Newton-step
     /// predict/correct sites. Off by default: those sites fire thousands
     /// of times per solve, and recording them costs ~10% on a warm
@@ -49,13 +42,15 @@ impl Default for TraceConfig {
         TraceConfig {
             ring_capacity: 16_384,
             recent_traces: 256,
-            max_spans_per_trace: 512,
             slow_request_us: 0,
-            export_path: None,
             deep: false,
         }
     }
 }
+
+/// Per-trace span cap in the recent-trace store (excess spans still
+/// reach the rings, but not the store).
+const MAX_SPANS_PER_TRACE: usize = 512;
 
 /// One finished span (or instantaneous event, `dur_us == 0` allowed).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,11 +90,6 @@ impl Ring {
     }
 }
 
-pub(crate) struct ThreadRing {
-    pub(crate) buf: Mutex<Ring>,
-    pub(crate) dropped: AtomicU64,
-}
-
 struct Store {
     traces: HashMap<u64, Vec<SpanRecord>>,
     order: Vec<u64>,
@@ -107,24 +97,26 @@ struct Store {
 
 pub(crate) struct TraceState {
     pub(crate) config: TraceConfig,
-    /// Monotonic install generation; thread-local ring caches key on it
-    /// so the hot path never touches the registration lock.
+    /// Install generation; the per-thread attachment caches key on it
+    /// so the hot path never touches the state cell.
     gen: u64,
-    pub(crate) rings: Mutex<Vec<Arc<ThreadRing>>>,
+    pub(crate) rings: Mutex<Vec<Arc<Mutex<Ring>>>>,
     store: Mutex<Store>,
-    next_id: AtomicU64,
     next_tid: AtomicU32,
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static DEEP: AtomicBool = AtomicBool::new(false);
+static SLOW_US: AtomicU64 = AtomicU64::new(0);
+/// Bumped by every install and clear, under the state cell's write
+/// lock; a thread's cached attachment is refreshed when it differs.
 static GEN: AtomicU64 = AtomicU64::new(0);
-/// Records dropped because the state cell was contended mid-install.
-static DROPPED_RACING_INSTALL: AtomicU64 = AtomicU64::new(0);
+/// Records dropped since the last install (see [`dropped_spans`]).
+static DROPPED: AtomicU64 = AtomicU64::new(0);
 
-fn state_cell() -> &'static Mutex<Option<Arc<TraceState>>> {
-    static CELL: OnceLock<Mutex<Option<Arc<TraceState>>>> = OnceLock::new();
-    CELL.get_or_init(|| Mutex::new(None))
+fn state_cell() -> &'static RwLock<Option<Arc<TraceState>>> {
+    static CELL: OnceLock<RwLock<Option<Arc<TraceState>>>> = OnceLock::new();
+    CELL.get_or_init(|| RwLock::new(None))
 }
 
 fn epoch() -> Instant {
@@ -137,27 +129,31 @@ fn now_us() -> u64 {
 }
 
 /// Installs `config` and enables span recording process-wide. Replaces
-/// any previous installation (prior ring contents are discarded).
+/// any previous installation (prior ring contents are discarded) and
+/// resets [`dropped_spans`].
 pub fn install(config: TraceConfig) {
     DEEP.store(config.deep, Ordering::SeqCst);
-    let state = Arc::new(TraceState {
-        config,
-        gen: GEN.fetch_add(1, Ordering::SeqCst) + 1,
-        rings: Mutex::new(Vec::new()),
-        store: Mutex::new(Store {
-            traces: HashMap::new(),
-            order: Vec::new(),
-        }),
-        next_id: AtomicU64::new(1),
-        next_tid: AtomicU32::new(1),
-    });
-    *state_cell().lock().unwrap_or_else(|e| e.into_inner()) = Some(state);
+    SLOW_US.store(config.slow_request_us, Ordering::SeqCst);
+    DROPPED.store(0, Ordering::SeqCst);
+    {
+        let mut cell = state_cell().write().unwrap_or_else(|e| e.into_inner());
+        *cell = Some(Arc::new(TraceState {
+            config,
+            gen: GEN.fetch_add(1, Ordering::SeqCst) + 1,
+            rings: Mutex::new(Vec::new()),
+            store: Mutex::new(Store {
+                traces: HashMap::new(),
+                order: Vec::new(),
+            }),
+            next_tid: AtomicU32::new(1),
+        }));
+    }
     ENABLED.store(true, Ordering::SeqCst);
 }
 
 /// Installs from the `PIERI_TRACE` environment variable when set.
 /// Syntax: `1`/`on` for defaults, or `;`-separated
-/// `ring=N`, `recent=N`, `slow_ms=N`, `out=PATH`, `deep=1` fields.
+/// `ring=N`, `recent=N`, `slow_ms=N`, `deep=1` fields.
 /// Returns whether tracing was enabled.
 pub fn install_from_env() -> bool {
     let Ok(spec) = std::env::var(crate::ENV_VAR) else {
@@ -179,7 +175,6 @@ pub fn install_from_env() -> bool {
                 ("slow_ms", v) => {
                     config.slow_request_us = v.parse::<u64>().unwrap_or(0).saturating_mul(1000)
                 }
-                ("out", v) if !v.is_empty() => config.export_path = Some(PathBuf::from(v)),
                 ("deep", v) => config.deep = v == "1" || v.eq_ignore_ascii_case("on"),
                 _ => {}
             }
@@ -193,7 +188,12 @@ pub fn install_from_env() -> bool {
 pub fn clear() {
     ENABLED.store(false, Ordering::SeqCst);
     DEEP.store(false, Ordering::SeqCst);
-    *state_cell().lock().unwrap_or_else(|e| e.into_inner()) = None;
+    SLOW_US.store(0, Ordering::SeqCst);
+    let mut cell = state_cell().write().unwrap_or_else(|e| e.into_inner());
+    // A new generation releases every thread's cached attachment (and
+    // with it the old state) on that thread's next record.
+    GEN.fetch_add(1, Ordering::SeqCst);
+    *cell = None;
 }
 
 /// True while a [`TraceConfig`] is installed. One relaxed load — safe
@@ -211,74 +211,67 @@ pub fn deep_enabled() -> bool {
     DEEP.load(Ordering::Relaxed)
 }
 
+/// Records dropped since the last [`install`]: ring or store pushes
+/// that found their lock contended, and records that raced an
+/// install or clear. Zero when every record was kept.
+pub fn dropped_spans() -> u64 {
+    DROPPED.load(Ordering::Relaxed)
+}
+
 pub(crate) fn active() -> Option<Arc<TraceState>> {
     if !enabled() {
         return None;
     }
     state_cell()
-        .lock()
+        .read()
         .unwrap_or_else(|e| e.into_inner())
         .clone()
 }
 
-/// The recording-path variant of [`active`]: `try_lock` only, so span
-/// drops never park behind an in-flight install/clear/export.
+/// The recording-path variant of [`active`]: `try_read` only, so a
+/// record never parks behind an in-flight install or clear (readers
+/// never exclude each other). Called once per thread per install.
 // lint:nonblocking
 fn active_for_record() -> Option<Arc<TraceState>> {
-    // lint:allow(no-blocking-in-nonblocking) — AtomicBool::load behind `enabled`; the name-keyed call graph resolves `load` to the store's file loader
-    if !enabled() {
-        return None;
-    }
-    match state_cell().try_lock() {
-        Ok(state) => state.clone(),
+    match state_cell().try_read() {
+        Ok(cell) => cell.clone(),
         Err(_) => {
-            DROPPED_RACING_INSTALL.fetch_add(1, Ordering::Relaxed);
+            DROPPED.fetch_add(1, Ordering::Relaxed);
             None
         }
     }
 }
 
 /// The installed slow-request threshold in microseconds (0 = off).
+#[inline]
 pub fn slow_threshold_us() -> u64 {
-    active().map_or(0, |s| s.config.slow_request_us)
+    SLOW_US.load(Ordering::Relaxed)
 }
 
-/// The installed export path, if any.
-pub fn export_path() -> Option<PathBuf> {
-    active().and_then(|s| s.config.export_path.clone())
+/// A thread's attachment to one installation: the state and the ring
+/// it registered there.
+struct Attached {
+    gen: u64,
+    state: Arc<TraceState>,
+    ring: Arc<Mutex<Ring>>,
 }
 
 thread_local! {
-    static RING: Cell<Option<(u64, Arc<ThreadRing>)>> = const { Cell::new(None) };
+    static ATTACHED: RefCell<Option<Attached>> = const { RefCell::new(None) };
     static TID: Cell<u32> = const { Cell::new(0) };
     static CUR_TRACE: Cell<u64> = const { Cell::new(0) };
     static DEPTH: Cell<u16> = const { Cell::new(0) };
 }
 
-/// Returns (and lazily registers) this thread's ring for the current
-/// installation. The generation-keyed thread-local cache means the
-/// registration lock is only taken once per thread per install — the
-/// steady-state path is two thread-local reads.
-fn thread_ring(state: &TraceState) -> Arc<ThreadRing> {
-    let cached = RING.with(|r| {
-        let v = r.take();
-        r.set(v.clone());
-        v
-    });
-    if let Some((gen, ring)) = cached {
-        if gen == state.gen {
-            return ring;
-        }
-    }
-    let ring = Arc::new(ThreadRing {
-        buf: Mutex::new(Ring {
-            records: Vec::with_capacity(state.config.ring_capacity.max(1)),
-            head: 0,
-            wrapped: false,
-            capacity: state.config.ring_capacity.max(1),
-        }),
-        dropped: AtomicU64::new(0),
-    });
+/// Registers a ring for this thread with `state`. Runs once per thread
+/// per install; the steady-state record path only reads [`ATTACHED`].
+fn attach(state: Arc<TraceState>) -> Attached {
+    let ring = Arc::new(Mutex::new(Ring {
+        records: Vec::with_capacity(state.config.ring_capacity.max(1)),
+        head: 0,
+        wrapped: false,
+        capacity: state.config.ring_capacity.max(1),
+    }));
     {
         // Once per thread per install; never held with any other lock.
         // lint:lock-rank(trace-rings, 1)
@@ -290,32 +283,37 @@ fn thread_ring(state: &TraceState) -> Arc<ThreadRing> {
             t.set(state.next_tid.fetch_add(1, Ordering::Relaxed));
         }
     });
-    RING.with(|r| r.set(Some((state.gen, ring.clone()))));
-    ring
+    Attached {
+        gen: state.gen,
+        state,
+        ring,
+    }
 }
 
 /// Pushes one record into this thread's ring. Never parks: a contended
-/// ring drops the record and bumps the drop counter.
+/// ring drops the record and counts it.
 // lint:nonblocking
-fn push_ring(ring: &ThreadRing, rec: SpanRecord) {
-    match ring.buf.try_lock() {
+fn push_ring(ring: &Mutex<Ring>, rec: SpanRecord) {
+    match ring.try_lock() {
         Ok(mut buf) => buf.push(rec),
         Err(_) => {
-            ring.dropped.fetch_add(1, Ordering::Relaxed);
+            DROPPED.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
 /// Appends a record to its trace's entry in the recent-trace store.
-/// Never parks; contended or over-budget appends are dropped.
+/// Never parks; a contended append is dropped and counted, and one
+/// over the per-trace cap is dropped.
 // lint:nonblocking
 fn push_store(state: &TraceState, rec: SpanRecord) {
     // lint:lock-rank(trace-store, 3)
     let Ok(mut store) = state.store.try_lock() else {
+        DROPPED.fetch_add(1, Ordering::Relaxed);
         return;
     };
     if let Some(spans) = store.traces.get_mut(&rec.trace_id) {
-        if spans.len() < state.config.max_spans_per_trace {
+        if spans.len() < MAX_SPANS_PER_TRACE {
             spans.push(rec);
         }
         return;
@@ -329,14 +327,22 @@ fn push_store(state: &TraceState, rec: SpanRecord) {
 }
 
 fn record(rec: SpanRecord) {
-    let Some(state) = active_for_record() else {
-        return;
-    };
-    let ring = thread_ring(&state);
-    push_ring(&ring, rec);
-    if rec.trace_id != 0 {
-        push_store(&state, rec);
-    }
+    ATTACHED.with(|attached| {
+        let mut attached = attached.borrow_mut();
+        // Relaxed: the state itself is published by the cell's lock;
+        // a stale read only delays the refresh by one record.
+        let gen = GEN.load(Ordering::Relaxed);
+        if attached.as_ref().is_none_or(|a| a.gen != gen) {
+            *attached = active_for_record().map(attach);
+        }
+        let Some(a) = attached.as_ref() else {
+            return;
+        };
+        push_ring(&a.ring, rec);
+        if rec.trace_id != 0 {
+            push_store(&a.state, rec);
+        }
+    });
 }
 
 /// The spans recorded so far for `trace_id`, ordered by start time, or
@@ -490,14 +496,11 @@ pub fn current_trace() -> u64 {
 }
 
 /// Allocates a fresh nonzero trace id (for requests arriving without
-/// an `x-trace-id` header). Ids are unique per install and scrambled
+/// an `x-trace-id` header). Ids are unique per process and scrambled
 /// through SplitMix64 so consecutive requests don't share prefixes.
 pub fn next_trace_id() -> u64 {
-    static FALLBACK: AtomicU64 = AtomicU64::new(1);
-    let n = match active() {
-        Some(state) => state.next_id.fetch_add(1, Ordering::Relaxed),
-        None => FALLBACK.fetch_add(1, Ordering::Relaxed),
-    };
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
     let mut z = n.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -599,16 +602,49 @@ mod tests {
         let rings = state.rings.lock().unwrap();
         let this = rings
             .iter()
-            .find(|r| {
-                let buf = r.buf.lock().unwrap();
-                !buf.records.is_empty()
-            })
+            .find(|r| !r.lock().unwrap().records.is_empty())
             .expect("this thread registered");
-        let buf = this.buf.lock().unwrap();
+        let buf = this.lock().unwrap();
         assert_eq!(buf.records.len(), 4);
         assert!(buf.wrapped);
         drop(buf);
         drop(rings);
+        clear();
+    }
+
+    #[test]
+    fn concurrent_recorders_keep_every_record() {
+        let _g = lock();
+        const THREADS: usize = 4;
+        const SPANS: usize = 50_000;
+        install(TraceConfig {
+            ring_capacity: SPANS,
+            ..TraceConfig::default()
+        });
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..SPANS {
+                        // The reactor's per-request calls, next to a span.
+                        let id = next_trace_id();
+                        slow_request("/t", 200, id, 0);
+                        let _span = span("tick", "test");
+                    }
+                });
+            }
+        });
+        let state = active().expect("installed");
+        let kept: usize = state
+            .rings
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|r| r.lock().unwrap().records.len())
+            .sum();
+        assert_eq!(dropped_spans(), 0);
+        assert_eq!(kept, THREADS * SPANS);
         clear();
     }
 
