@@ -197,6 +197,12 @@ impl Homotopy for PieriHomotopy {
         self.layout.dim()
     }
 
+    /// Pieri homotopies are optimal: for generic planes and points every
+    /// path ends at a regular solution of the next level.
+    fn regular_endpoints(&self) -> bool {
+        true
+    }
+
     fn eval(&self, x: &[Complex64], t: f64, out: &mut [Complex64]) {
         debug_assert_eq!(out.len(), self.dim());
         for (i, (plane, s)) in self.fixed.iter().enumerate() {

@@ -7,7 +7,9 @@
 //! [`ChaosGuard`]: a static mutex serialising the tests plus an
 //! install-on-entry / clear-on-drop of the test's plan (clearing also
 //! happens when the test panics, so one failure cannot leak faults
-//! into the next test).
+//! into the next test). A test that goes on after its faults with a
+//! clean or restarted engine calls [`ChaosGuard::disarm`], which keeps
+//! the lock: the next test's plan must not fire in that engine.
 
 use pieri_service::pieri_chaos::{self, FaultPlan};
 use pieri_service::{
@@ -30,6 +32,11 @@ impl ChaosGuard {
         let plan = Arc::new(FaultPlan::parse(spec).expect("fault plan"));
         pieri_chaos::install(Arc::clone(&plan));
         ChaosGuard { _lock: lock, plan }
+    }
+
+    /// Clears the fault plan but keeps the lock until the guard drops.
+    fn disarm(&self) {
+        pieri_chaos::clear();
     }
 }
 
@@ -125,7 +132,7 @@ fn queue_lock_panic_recovers_under_concurrent_load() {
     assert_eq!(stats.completed, 8, "every job answered exactly once");
     assert_eq!(guard.plan.fired("worker.panic"), 1);
     eng.shutdown();
-    drop(guard);
+    guard.disarm();
 
     // Bitwise determinism: a fault-free engine answers identically.
     let clean_eng = Arc::new(engine_with(2, fast_supervisor()));
@@ -289,7 +296,7 @@ fn torn_store_write_rebuilds_bitwise_identically() {
     assert!(!cold.cache_hit);
     eng.shutdown();
     assert_eq!(guard.plan.fired("store.write.torn"), 1);
-    drop(guard); // chaos off for the restart
+    guard.disarm(); // chaos off for the restart
 
     let eng = Engine::start(config());
     let rebuilt = eng.run(solve_req(3)).expect("post-crash solve");

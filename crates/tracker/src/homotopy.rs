@@ -68,6 +68,22 @@ pub trait Homotopy: Sync {
         self.dt(x, t, ht);
     }
 
+    /// True when every path ends at a regular, finite solution at
+    /// `t = 1`, as the paths of a generic Pieri homotopy do
+    /// (Huber–Sottile–Sturmfels). The tracker then runs no geometric
+    /// endgame and never reports [`crate::PathStatus::Diverged`]: a
+    /// corrected point beyond `divergence_threshold` is a path jump and
+    /// rejects the step, and a path that still cannot finish ends
+    /// [`crate::PathStatus::Failed`], which [`crate::RetrackPolicy`]
+    /// retries.
+    ///
+    /// The default is `false`: homotopies whose paths may diverge or end
+    /// singular (the `systems` experiments, continuation to application
+    /// data) keep the endgame and its divergence verdicts.
+    fn regular_endpoints(&self) -> bool {
+        false
+    }
+
     /// Residual `‖H(x,t)‖∞`, used for reporting.
     fn residual(&self, x: &[Complex64], t: f64) -> f64 {
         let mut buf = vec![Complex64::ZERO; self.dim()];

@@ -22,7 +22,10 @@
 //! Paths that diverge to infinity are first-class citizens: the cyclic
 //! 10-roots and RPS experiments of the paper owe their load-balancing
 //! behaviour to them, so the tracker reports them (with the `t` reached
-//! and time spent) rather than erroring out.
+//! and time spent) rather than erroring out. A homotopy whose paths all
+//! end regular and finite says so through
+//! [`Homotopy::regular_endpoints`] (the Pieri homotopies do); its paths
+//! skip the geometric endgame and are never reported diverged.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -20,7 +20,11 @@ pub enum PathStatus {
     /// Reached `t = 1` and passed the final Newton refinement.
     Converged,
     /// The solution norm blew past the divergence threshold: the path leads
-    /// to a solution at infinity. `at_t` records how far it got.
+    /// to a solution at infinity. `at_t` records how far it got. Never
+    /// reported for a homotopy with [`Homotopy::regular_endpoints`],
+    /// where a huge corrected point is a path jump that the step control
+    /// retries, and a path that still cannot finish ends
+    /// [`PathStatus::Failed`].
     Diverged {
         /// Continuation parameter at which divergence was declared.
         at_t: f64,
@@ -97,6 +101,15 @@ struct Progress {
 /// refinement and counted twice — the endgame is what lets the cyclic
 /// 10-roots and RPS experiments of the paper report their divergent-path
 /// counts honestly.
+///
+/// A homotopy whose paths all end regular and finite
+/// ([`Homotopy::regular_endpoints`], the Pieri homotopies) skips the
+/// endgame, which took about half the steps of a Pieri path: the
+/// adaptive phase runs to `t = 1` and the same final polish follows.
+/// Such a path is never declared diverged. A corrected point beyond
+/// `divergence_threshold` rejects the step as a jump onto another path,
+/// and a path the step control cannot finish ends [`PathStatus::Failed`],
+/// which the re-track policy retries.
 pub fn track_path<H: Homotopy + ?Sized>(
     h: &H,
     x0: &[Complex64],
@@ -222,7 +235,14 @@ fn drive<H: Homotopy + ?Sized>(
 ) -> (PathStatus, f64) {
     let mut dt = settings.initial_step;
     let mut streak = 0usize;
-    let endgame_start = 1.0 - settings.endgame_radius.clamp(0.0, 0.5);
+    // Paths with regular endpoints run the adaptive phase to t = 1; the
+    // endgame loop below then exits at once.
+    let regular = h.regular_endpoints();
+    let endgame_start = if regular {
+        1.0
+    } else {
+        1.0 - settings.endgame_radius.clamp(0.0, 0.5)
+    };
 
     // Main adaptive phase: up to the endgame boundary.
     while p.t < endgame_start {
@@ -245,11 +265,12 @@ fn drive<H: Homotopy + ?Sized>(
                 streak = 0;
                 dt *= settings.shrink_factor;
                 if dt < settings.min_step {
-                    let status = if inf_norm(&p.x) > settings.divergence_threshold.sqrt() {
-                        PathStatus::Diverged { at_t: p.t }
-                    } else {
-                        PathStatus::Failed { at_t: p.t }
-                    };
+                    let status =
+                        if !regular && inf_norm(&p.x) > settings.divergence_threshold.sqrt() {
+                            PathStatus::Diverged { at_t: p.t }
+                        } else {
+                            PathStatus::Failed { at_t: p.t }
+                        };
                     return (status, h.residual(&p.x, p.t));
                 }
             }
@@ -346,9 +367,10 @@ fn drive<H: Homotopy + ?Sized>(
     };
     let status = if out.converged && !snapped && inf_norm(&p.x) <= settings.divergence_threshold {
         PathStatus::Converged
-    } else if entry_norm > settings.divergence_threshold.sqrt()
-        || slow_divergence
-        || snapped && entry_norm > 1e3
+    } else if !regular
+        && (entry_norm > settings.divergence_threshold.sqrt()
+            || slow_divergence
+            || snapped && entry_norm > 1e3)
     {
         PathStatus::Diverged { at_t: p.t }
     } else {
@@ -393,7 +415,12 @@ fn try_step<H: Homotopy + ?Sized>(
             ws,
         );
         p.newton_total += out.iters;
-        if out.converged && predicted.iter().all(|z| z.is_finite()) {
+        let accepted = out.converged
+            && predicted.iter().all(|z| z.is_finite())
+            // With regular endpoints a huge corrected point is a jump
+            // onto another path, not a divergence: retry shorter.
+            && !(h.regular_endpoints() && inf_norm(predicted) > settings.divergence_threshold);
+        if accepted {
             // prev ← x ← predicted, with the old prev buffer becoming
             // the next prediction scratch.
             mem::swap(&mut p.prev_x, &mut p.x);
@@ -538,6 +565,48 @@ mod tests {
         match div.status {
             PathStatus::Diverged { at_t } => assert!(at_t > 0.5, "diverges near t=1, got {at_t}"),
             ref s => panic!("expected divergence, got {s:?}"),
+        }
+    }
+
+    /// A linear homotopy that claims regular endpoints.
+    struct Regular(LinearHomotopy);
+
+    impl Homotopy for Regular {
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+
+        fn eval(&self, x: &[Complex64], t: f64, out: &mut [Complex64]) {
+            self.0.eval(x, t, out);
+        }
+
+        fn jacobian_x(&self, x: &[Complex64], t: f64, out: &mut pieri_linalg::CMat) {
+            self.0.jacobian_x(x, t, out);
+        }
+
+        fn dt(&self, x: &[Complex64], t: f64, out: &mut [Complex64]) {
+            self.0.dt(x, t, out);
+        }
+
+        fn regular_endpoints(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn claimed_regular_endpoints_drop_the_divergence_verdict() {
+        // The deficient target above, wrongly claimed regular: no path is
+        // declared diverged, and with no endgame the path to infinity
+        // steps onto the finite root at t = 1. Only homotopies whose
+        // paths all end regular may make the claim.
+        let (g, starts) = unity_start(2);
+        let f = univar(&[c(-1.0, 0.0), Complex64::ONE]);
+        let mut rng = seeded_rng(102);
+        let h = Regular(LinearHomotopy::new(g, f, random_gamma(&mut rng)));
+        let (results, stats) = track_all(&h, &starts, &TrackSettings::default());
+        assert_eq!((stats.converged, stats.diverged), (2, 0), "{stats:?}");
+        for r in &results {
+            assert!(r.x[0].dist(Complex64::ONE) < 1e-8, "{:?}", r.x);
         }
     }
 

@@ -5,16 +5,20 @@ use crate::predictor::Predictor;
 /// Bounded-retry policy for numerically failed paths.
 ///
 /// A path that ends in [`crate::PathStatus::Failed`] (step control
-/// collapsed, budget exhausted — *not* an honest divergence to infinity)
-/// is re-run from its start solution with tightened continuation
-/// parameters: smaller steps, a finer minimum step, a larger corrector
-/// and step budget. Retries are bounded by [`RetrackPolicy::max_retries`];
-/// each retry tightens further. The policy lives inside
-/// [`TrackSettings`], so every driver — sequential, work-stealing,
-/// tree-parallel, the batch service — inherits re-tracking without
-/// signature changes. The per-path cost of **all** attempts is
-/// accumulated into the one [`crate::PathResult`] the final attempt
-/// returns (`attempts` records how many ran), which is what keeps
+/// collapsed, budget exhausted) is re-run from its start solution with
+/// tightened continuation parameters: smaller steps, a finer minimum
+/// step, a larger corrector and step budget. A
+/// [`crate::PathStatus::Diverged`] path is not retried: that verdict is
+/// an honest divergence to infinity, reported only by homotopies without
+/// [`crate::Homotopy::regular_endpoints`]. With regular endpoints a jump
+/// to a huge norm is a rejected step, so a path lost that way ends
+/// `Failed` and is retried here. Retries are bounded by
+/// [`RetrackPolicy::max_retries`]; each retry tightens further. The
+/// policy lives inside [`TrackSettings`], so every driver — sequential,
+/// work-stealing, tree-parallel, the batch service — inherits
+/// re-tracking without signature changes. The per-path cost of **all**
+/// attempts is accumulated into the one [`crate::PathResult`] the final
+/// attempt returns (`attempts` records how many ran), which is what keeps
 /// [`crate::TrackStats::record`]/[`crate::TrackStats::merge`] idempotent
 /// per logical path: drivers that merge worker stats never see a
 /// retracked path twice.
@@ -96,7 +100,8 @@ pub struct TrackSettings {
     /// Initial step length in `t`.
     pub initial_step: f64,
     /// Smallest permitted step; when the controller wants to go below this
-    /// the path is declared failed (or diverged when the norm is large).
+    /// the path is declared failed (or diverged when the norm is large
+    /// and the homotopy lacks [`crate::Homotopy::regular_endpoints`]).
     pub min_step: f64,
     /// Largest permitted step.
     pub max_step: f64,
@@ -117,7 +122,9 @@ pub struct TrackSettings {
     /// Newton budget for the final refinement.
     pub final_iters: usize,
     /// `‖x‖∞` beyond which a path is declared divergent (going to a
-    /// solution at infinity).
+    /// solution at infinity). On a homotopy with
+    /// [`crate::Homotopy::regular_endpoints`] a corrected point beyond it
+    /// rejects the step instead, as a jump onto another path.
     pub divergence_threshold: f64,
     /// Hard cap on accepted + rejected steps, guarding against cycling.
     pub max_steps: usize,
@@ -125,6 +132,8 @@ pub struct TrackSettings {
     /// geometric endgame (steps halving towards 1 with a Cauchy test).
     /// Diverging paths are recognised inside this region instead of being
     /// "snapped" onto a finite root by the final Newton refinement.
+    /// Unused for homotopies with [`crate::Homotopy::regular_endpoints`]:
+    /// their paths run the adaptive phase to `t = 1`, with no endgame.
     pub endgame_radius: f64,
     /// Cauchy criterion of the endgame: consecutive endgame iterates
     /// closer than `endgame_tol·(1+‖x‖)` end the path.

@@ -1,6 +1,7 @@
 //! Kernel-call budget of the path tracker: each fused evaluation the
 //! corrector makes is one billed Newton iteration, and a path that
-//! reaches `t = 1` adds exactly one more, for its endpoint residual.
+//! reaches `t = 1` adds exactly one more, for its endpoint residual. The
+//! budget holds with and without the geometric endgame.
 
 use pieri_linalg::CMat;
 use pieri_num::{random_complex, random_gamma, seeded_rng, Complex64};
@@ -34,6 +35,10 @@ impl<H: Homotopy> Homotopy for Counting<H> {
         self.inner.dt(x, t, out);
     }
 
+    fn regular_endpoints(&self) -> bool {
+        self.inner.regular_endpoints()
+    }
+
     fn eval_and_jacobian(
         &self,
         x: &[Complex64],
@@ -56,6 +61,50 @@ impl<H: Homotopy> Homotopy for Counting<H> {
     ) {
         self.inner.jacobian_and_dt(x, t, jac, ht, scratch);
     }
+}
+
+/// Forwards every evaluation to the wrapped homotopy and reports
+/// regular endpoints, so its paths skip the endgame.
+struct Regular<H>(H);
+
+impl<H: Homotopy> Homotopy for Regular<H> {
+    fn dim(&self) -> usize {
+        self.0.dim()
+    }
+
+    fn eval(&self, x: &[Complex64], t: f64, out: &mut [Complex64]) {
+        self.0.eval(x, t, out);
+    }
+
+    fn jacobian_x(&self, x: &[Complex64], t: f64, out: &mut CMat) {
+        self.0.jacobian_x(x, t, out);
+    }
+
+    fn dt(&self, x: &[Complex64], t: f64, out: &mut [Complex64]) {
+        self.0.dt(x, t, out);
+    }
+
+    fn regular_endpoints(&self) -> bool {
+        true
+    }
+}
+
+fn counting<H>(inner: H) -> Counting<H> {
+    Counting {
+        inner,
+        eval_and_jacobian: AtomicUsize::new(0),
+    }
+}
+
+/// `x² − 1` deformed to `x² − 4`: two regular paths from `±1` to `±2`.
+fn quadratic(seed: u64) -> (LinearHomotopy, Vec<Vec<Complex64>>) {
+    let x = Poly::var(1, 0);
+    let constant = |c: f64| Poly::constant(1, Complex64::real(c));
+    let start = PolySystem::new(vec![x.mul(&x).sub(&constant(1.0))]);
+    let target = PolySystem::new(vec![x.mul(&x).sub(&constant(4.0))]);
+    let h = LinearHomotopy::new(start, target, random_gamma(&mut seeded_rng(seed)));
+    let starts = vec![vec![Complex64::real(1.0)], vec![Complex64::real(-1.0)]];
+    (h, starts)
 }
 
 /// `{x² − 1, y² − 1}` deformed to `{x² + a·y + b, y² + c·x + d}` with
@@ -81,10 +130,7 @@ fn two_quadrics(seed: u64) -> (LinearHomotopy, Vec<Vec<Complex64>>) {
 #[test]
 fn fused_evaluations_per_path_are_newton_iterations_plus_endpoint_residual() {
     let (inner, starts) = two_quadrics(830);
-    let h = Counting {
-        inner,
-        eval_and_jacobian: AtomicUsize::new(0),
-    };
+    let h = counting(inner);
     let mut ws = TrackWorkspace::new();
     for predictor in [
         Predictor::Secant,
@@ -107,6 +153,51 @@ fn fused_evaluations_per_path_are_newton_iterations_plus_endpoint_residual() {
                 "{predictor:?} from {s:?}: {} steps, {} rejections",
                 r.steps,
                 r.rejections
+            );
+        }
+    }
+}
+
+#[test]
+fn skipping_the_endgame_keeps_the_budget_in_fewer_steps() {
+    let (inner, starts) = quadratic(831);
+    let endgame = counting(inner);
+    let skip = counting(Regular(quadratic(831).0));
+    assert!(!endgame.regular_endpoints() && skip.regular_endpoints());
+    let mut ws = TrackWorkspace::new();
+    for predictor in [
+        Predictor::Secant,
+        Predictor::Tangent,
+        Predictor::RungeKutta4,
+    ] {
+        let settings = TrackSettings {
+            predictor,
+            ..TrackSettings::default()
+        };
+        for s in &starts {
+            let with = track_path_with(&endgame, s, &settings, &mut ws);
+            let before = skip.eval_and_jacobian.load(Ordering::Relaxed);
+            let r = track_path_with(&skip, s, &settings, &mut ws);
+            let calls = skip.eval_and_jacobian.load(Ordering::Relaxed) - before;
+            assert!(r.status.is_converged(), "{predictor:?}: {:?}", r.status);
+            assert!(
+                with.status.is_converged(),
+                "{predictor:?}: {:?}",
+                with.status
+            );
+            assert!((r.x[0].norm() - 2.0).abs() < 1e-10, "{:?}", r.x);
+            assert_eq!(
+                calls,
+                r.newton_iters + 1,
+                "{predictor:?} from {s:?}: {} steps, {} rejections",
+                r.steps,
+                r.rejections
+            );
+            assert!(
+                r.steps < with.steps,
+                "{predictor:?} from {s:?}: {} steps without the endgame, {} with it",
+                r.steps,
+                with.steps
             );
         }
     }
