@@ -5,7 +5,8 @@
 //! step, and were then declared diverged, now yield every root. And a
 //! tree walk with the endgame (a wrapper that keeps the default
 //! `Homotopy::regular_endpoints`) finds the same roots and failures as
-//! the walk without it, in far fewer steps.
+//! the walk without it, in fewer steps. Pieri paths approach `t = 1`
+//! analytically, so the endgame leaves them after a few halvings.
 
 use pieri_certify::CertifyPolicy;
 use pieri_core::{
@@ -96,6 +97,7 @@ struct Walk {
     roots: Vec<Vec<Complex64>>,
     failures: usize,
     steps: usize,
+    paths: usize,
 }
 
 /// Walks the tree level by level, tracking every child solution into
@@ -107,7 +109,7 @@ fn walk<H: Homotopy>(problem: &PieriProblem, homotopy: impl Fn(PieriHomotopy) ->
     let mut ws = TrackWorkspace::new();
     let mut prev: HashMap<Vec<usize>, Vec<Vec<Complex64>>> = HashMap::new();
     prev.insert(shape.trivial().pivots().to_vec(), vec![Vec::new()]);
-    let (mut failures, mut steps) = (0, 0);
+    let (mut failures, mut steps, mut paths) = (0, 0, 0);
     for k in 1..=shape.conditions() {
         let mut next = HashMap::new();
         for pattern in poset.level(k) {
@@ -123,6 +125,7 @@ fn walk<H: Homotopy>(problem: &PieriProblem, homotopy: impl Fn(PieriHomotopy) ->
                     let x0 = layout.embed_child(&child_layout, y);
                     let r = track_path_with(&h, &x0, &settings, &mut ws);
                     steps += r.steps;
+                    paths += 1;
                     if r.status.is_converged() {
                         sols.push(r.x);
                     } else {
@@ -140,6 +143,7 @@ fn walk<H: Homotopy>(problem: &PieriProblem, homotopy: impl Fn(PieriHomotopy) ->
         roots: prev.remove(shape.root().pivots()).unwrap_or_default(),
         failures,
         steps,
+        paths,
     }
 }
 
@@ -174,7 +178,7 @@ fn skipping_the_endgame_keeps_the_roots_in_far_fewer_steps() {
     let instances = (0..20)
         .map(|i| (Shape::new(2, 2, 1), 1900 + i))
         .chain((0..3).map(|i| (Shape::new(2, 2, 2), 1950 + i)));
-    let (mut skip_steps, mut endgame_steps) = (0, 0);
+    let (mut skip_steps, mut endgame_steps, mut paths) = (0, 0, 0);
     for (shape, seed) in instances {
         let problem = PieriProblem::random(shape.clone(), &mut seeded_rng(seed));
         let skip = walk(&problem, |h| h);
@@ -185,9 +189,16 @@ fn skipping_the_endgame_keeps_the_roots_in_far_fewer_steps() {
         }
         skip_steps += skip.steps;
         endgame_steps += endgame.steps;
+        paths += endgame.paths;
     }
     assert!(
-        skip_steps * 10 <= endgame_steps * 6,
+        skip_steps < endgame_steps,
         "{skip_steps} steps without the endgame, {endgame_steps} with it"
+    );
+    // The endgame's early exit ends an analytic path three halvings in.
+    assert!(
+        endgame_steps - skip_steps <= 4 * paths,
+        "the endgame added {} steps over {paths} paths",
+        endgame_steps - skip_steps
     );
 }

@@ -79,7 +79,9 @@ pub trait Homotopy: Sync {
     ///
     /// The default is `false`: homotopies whose paths may diverge or end
     /// singular (the `systems` experiments, continuation to application
-    /// data) keep the endgame and its divergence verdicts.
+    /// data) keep the endgame and its divergence verdicts. Their paths
+    /// that approach `t = 1` analytically leave the endgame early (see
+    /// [`crate::track_path`]).
     fn regular_endpoints(&self) -> bool {
         false
     }

@@ -25,7 +25,11 @@
 //! and time spent) rather than erroring out. A homotopy whose paths all
 //! end regular and finite says so through
 //! [`Homotopy::regular_endpoints`] (the Pieri homotopies do); its paths
-//! skip the geometric endgame and are never reported diverged.
+//! skip the geometric endgame and are never reported diverged. On every
+//! other homotopy a path whose endgame iterates approach `t = 1`
+//! analytically (differences halving with the step) leaves the endgame
+//! through a Newton trial at `t = 1`, usually three halvings in; paths
+//! to infinity, and paths of cycle number ≥ 2, keep the full endgame.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

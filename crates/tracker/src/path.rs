@@ -12,7 +12,14 @@ use crate::workspace::TrackWorkspace;
 use pieri_linalg::inf_norm;
 use pieri_num::Complex64;
 use std::mem;
+use std::ops::RangeInclusive;
 use std::time::{Duration, Instant};
+
+/// Ratios `diff_{j−1} / diff_j` of consecutive endgame differences that
+/// mark an analytic approach to `t = 1`. Under halving, a path that
+/// reaches a finite point analytically gives ratio 2, a path of cycle
+/// number c gives 2^{1/c} ≤ 1.42, and a path to infinity less than 1.
+const ANALYTIC_RATIOS: RangeInclusive<f64> = 1.8..=2.2;
 
 /// Terminal state of one tracked path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,6 +108,18 @@ struct Progress {
 /// refinement and counted twice — the endgame is what lets the cyclic
 /// 10-roots and RPS experiments of the paper report their divergent-path
 /// counts honestly.
+///
+/// A path that reaches a finite point analytically leaves the endgame
+/// early. Over halvings its iterate differences shrink by a factor of 2
+/// (by 2^{1/c} on a path of cycle number c, not at all on a path to
+/// infinity). When the last two ratios of differences over consecutive
+/// halvings both lie in [1.8, 2.2], Newton at `t = 1` runs from the
+/// extrapolated point `2·x_j − x_{j−1}` with the corrector's iteration
+/// budget. The path ends [`PathStatus::Converged`] there when Newton
+/// converges within `‖x_j − x_{j−1}‖∞` of that point; otherwise the
+/// halving goes on as before. On an analytic path to a singular endpoint
+/// the trials fail until the path is close, since Newton converges only
+/// linearly there.
 ///
 /// A homotopy whose paths all end regular and finite
 /// ([`Homotopy::regular_endpoints`], the Pieri homotopies) skips the
@@ -287,6 +306,12 @@ fn drive<H: Homotopy + ?Sized>(
     // endgame test; bounded-but-stuck paths show ratio ≈ 1 instead.
     endgame_norms.clear();
     endgame_norms.push(inf_norm(&p.x));
+    // Early exit: the difference of the previous pure halving (a step of
+    // exactly half the remaining distance with no rejection since the
+    // last accepted step; NaN once a rejection breaks the run) and the
+    // number of consecutive ratios in ANALYTIC_RATIOS.
+    let mut run_diff = f64::NAN;
+    let mut analytic_ratios = 0usize;
     loop {
         if p.steps + p.rejections > settings.max_steps {
             return (PathStatus::Failed { at_t: p.t }, h.residual(&p.x, p.t));
@@ -303,6 +328,7 @@ fn drive<H: Homotopy + ?Sized>(
         x_before.extend_from_slice(&p.x);
         match try_step(h, p, predicted, step, settings, ws) {
             StepOutcome::Accepted => {
+                let pure = endgame_fail_shrink == 1.0;
                 endgame_fail_shrink = 1.0;
                 let norm = inf_norm(&p.x);
                 endgame_norms.push(norm);
@@ -318,8 +344,26 @@ fn drive<H: Homotopy + ?Sized>(
                 if diff <= settings.endgame_tol * (1.0 + norm) {
                     break;
                 }
+                if pure {
+                    if ANALYTIC_RATIOS.contains(&(run_diff / diff)) {
+                        analytic_ratios += 1;
+                    } else {
+                        analytic_ratios = 0;
+                    }
+                    run_diff = diff;
+                    if analytic_ratios >= 2 {
+                        if let Some(residual) =
+                            try_exit(h, p, predicted, x_before, diff, settings, ws)
+                        {
+                            return (PathStatus::Converged, residual);
+                        }
+                        analytic_ratios = 0;
+                    }
+                }
             }
             StepOutcome::Rejected => {
+                run_diff = f64::NAN;
+                analytic_ratios = 0;
                 endgame_fail_shrink *= settings.shrink_factor;
                 if endgame_fail_shrink * remaining < settings.min_step {
                     break;
@@ -342,13 +386,7 @@ fn drive<H: Homotopy + ?Sized>(
         ws,
     );
     p.newton_total += out.iters;
-    // The corrector stops without evaluating its final iterate; the
-    // endpoint residual is that one evaluation, made once per path.
-    let residual = {
-        let (fx, jac, scratch) = ws.eval_buffers();
-        h.eval_and_jacobian(&p.x, 1.0, fx, jac, scratch);
-        inf_norm(fx)
-    };
+    let residual = endpoint_residual(h, &p.x, ws);
     // Reject a refinement that jumped far away from the tracked limit:
     // that is Newton snapping a divergent path onto an unrelated root.
     let jump: f64 =
@@ -377,6 +415,60 @@ fn drive<H: Homotopy + ?Sized>(
         PathStatus::Failed { at_t: p.t }
     };
     (status, residual)
+}
+
+/// The endgame's early exit: Newton at `t = 1`, with the corrector's
+/// iteration budget, from the first-order Richardson extrapolation
+/// `x̂ = 2·x − x_before` of the last two halving iterates, built in the
+/// `predicted` buffer. Accepted when Newton converges to a finite point
+/// within `diff` of `x̂` and inside `divergence_threshold`: the endpoint
+/// then moves into `p.x` at `t = 1` and its residual is returned.
+/// Otherwise `p` keeps its iterate and only the iterations are billed.
+fn try_exit<H: Homotopy + ?Sized>(
+    h: &H,
+    p: &mut Progress,
+    predicted: &mut Vec<Complex64>,
+    x_before: &[Complex64],
+    diff: f64,
+    settings: &TrackSettings,
+    ws: &mut TrackWorkspace,
+) -> Option<f64> {
+    predicted.clear();
+    predicted.extend(p.x.iter().zip(x_before).map(|(a, b)| *a + *a - *b));
+    let out = newton_correct_with(
+        h,
+        predicted,
+        1.0,
+        settings.final_tol,
+        settings.corrector_iters,
+        ws,
+    );
+    p.newton_total += out.iters;
+    // The distance from x̂, recomputed from x and x_before.
+    let jump = predicted
+        .iter()
+        .zip(p.x.iter().zip(x_before))
+        .map(|(z, (a, b))| (*z - (*a + *a - *b)).norm())
+        .fold(0.0, f64::max);
+    let accepted = out.converged
+        && predicted.iter().all(|z| z.is_finite())
+        && jump <= diff
+        && inf_norm(predicted) <= settings.divergence_threshold;
+    if !accepted {
+        return None;
+    }
+    mem::swap(&mut p.x, predicted);
+    p.t = 1.0;
+    Some(endpoint_residual(h, &p.x, ws))
+}
+
+/// `‖H(x, 1)‖∞` at a path's endpoint. The corrector stops without
+/// evaluating its final iterate; this is that one evaluation, made once
+/// per path.
+fn endpoint_residual<H: Homotopy + ?Sized>(h: &H, x: &[Complex64], ws: &mut TrackWorkspace) -> f64 {
+    let (fx, jac, scratch) = ws.eval_buffers();
+    h.eval_and_jacobian(x, 1.0, fx, jac, scratch);
+    inf_norm(fx)
 }
 
 enum StepOutcome {
@@ -607,6 +699,66 @@ mod tests {
         assert_eq!((stats.converged, stats.diverged), (2, 0), "{stats:?}");
         for r in &results {
             assert!(r.x[0].dist(Complex64::ONE) < 1e-8, "{:?}", r.x);
+        }
+    }
+
+    #[test]
+    fn analytic_paths_leave_the_endgame_after_three_halvings() {
+        // x² − 4 has two regular roots: both paths approach t = 1
+        // analytically, so the halving ratios read 2 and the early exit
+        // ends them three halvings into the endgame.
+        let (g, starts) = unity_start(2);
+        let f = univar(&[c(-4.0, 0.0), Complex64::ZERO, Complex64::ONE]);
+        let mut rng = seeded_rng(100);
+        let h = LinearHomotopy::new(g, f, random_gamma(&mut rng));
+        let settings = TrackSettings::default();
+        let (results, stats) = track_all(&h, &starts, &settings);
+        let (regular, _) = track_all(&Regular(h), &starts, &settings);
+        assert_eq!(stats.converged, 2, "{stats:?}");
+        for (r, no_endgame) in results.iter().zip(&regular) {
+            assert!((r.x[0].norm() - 2.0).abs() < 1e-8, "{:?}", r.x);
+            assert!(r.residual < 1e-9);
+            assert!(
+                r.steps <= no_endgame.steps + 3,
+                "{} steps, {} without the endgame",
+                r.steps,
+                no_endgame.steps
+            );
+        }
+    }
+
+    #[test]
+    fn singular_endpoints_keep_the_endgame_verdicts() {
+        let (g, starts) = unity_start(2);
+        let settings = TrackSettings::default();
+        // (x − 1)²: the path from 1 stays on the double root, which
+        // Newton cannot polish; the path from −1 reaches it analytically
+        // and converges.
+        let f = univar(&[Complex64::ONE, c(-2.0, 0.0), Complex64::ONE]);
+        let h = LinearHomotopy::new(g.clone(), f, random_gamma(&mut seeded_rng(100)));
+        let (results, _) = track_all(&h, &starts, &settings);
+        match results[0].status {
+            PathStatus::Failed { at_t } => assert!((at_t - 0.995).abs() < 1e-12, "{at_t}"),
+            s => panic!("expected failure, got {s:?}"),
+        }
+        assert!(results[1].status.is_converged(), "{:?}", results[1].status);
+        assert!(
+            results[1].x[0].dist(Complex64::ONE) < 1e-8,
+            "{:?}",
+            results[1].x
+        );
+        // x²: both paths form one cycle of winding number 2, whose
+        // ratio 2^{1/2} never triggers the exit; the full halving runs.
+        let f = univar(&[Complex64::ZERO, Complex64::ZERO, Complex64::ONE]);
+        let h = LinearHomotopy::new(g, f, random_gamma(&mut seeded_rng(100)));
+        let (results, _) = track_all(&h, &starts, &settings);
+        for r in &results {
+            assert!(
+                matches!(r.status, PathStatus::Failed { .. }),
+                "{:?}",
+                r.status
+            );
+            assert!(r.steps >= 40, "{} steps", r.steps);
         }
     }
 

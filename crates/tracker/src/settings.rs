@@ -131,12 +131,19 @@ pub struct TrackSettings {
     /// Distance from `t = 1` at which the tracker switches to the
     /// geometric endgame (steps halving towards 1 with a Cauchy test).
     /// Diverging paths are recognised inside this region instead of being
-    /// "snapped" onto a finite root by the final Newton refinement.
-    /// Unused for homotopies with [`crate::Homotopy::regular_endpoints`]:
-    /// their paths run the adaptive phase to `t = 1`, with no endgame.
+    /// "snapped" onto a finite root by the final Newton refinement. A path
+    /// that approaches `t = 1` analytically leaves it early, usually three
+    /// halvings in, through a Newton trial at `t = 1` (see
+    /// [`crate::track_path`]). Unused for homotopies with
+    /// [`crate::Homotopy::regular_endpoints`]: their paths run the
+    /// adaptive phase to `t = 1`, with no endgame.
     pub endgame_radius: f64,
     /// Cauchy criterion of the endgame: consecutive endgame iterates
-    /// closer than `endgame_tol·(1+‖x‖)` end the path.
+    /// closer than `endgame_tol·(1+‖x‖)` end the path. It decides the
+    /// paths that do not leave through the early exit: those whose
+    /// halving ratios say cycle number ≥ 2 or a path to infinity, and
+    /// analytic paths to singular endpoints, where the exit's Newton
+    /// trial fails.
     pub endgame_tol: f64,
     /// Bounded-retry policy for numerically failed paths (disabled by
     /// default; see [`RetrackPolicy`]).
@@ -162,21 +169,6 @@ impl Default for TrackSettings {
             endgame_radius: 0.01,
             endgame_tol: 1e-8,
             retrack: RetrackPolicy::disabled(),
-        }
-    }
-}
-
-impl TrackSettings {
-    /// A faster, looser profile used by large benchmark sweeps where
-    /// per-path cost matters more than final polish.
-    pub fn fast() -> Self {
-        TrackSettings {
-            predictor: Predictor::RungeKutta4,
-            initial_step: 0.1,
-            max_step: 0.2,
-            corrector_tol: 1e-8,
-            final_tol: 1e-10,
-            ..TrackSettings::default()
         }
     }
 }

@@ -10,7 +10,10 @@
 //! constants were re-recorded when Pieri paths stopped running the
 //! geometric endgame (`Homotopy::regular_endpoints`): that moves a few
 //! root bits by ulps, which survive double-double refinement. The static
-//! constant kept its value.
+//! constant kept its value. The dynamic constant was re-recorded again
+//! when instance paths that approach `t = 1` analytically began to leave
+//! the endgame early, which returned it to its earlier value; the tree
+//! and static constants kept theirs.
 
 use pieri::certify::{Certificate, CertifyPolicy};
 use pieri::control::{
@@ -96,6 +99,6 @@ fn certified_static_satellite_placement_is_bit_identical() {
 fn certified_dynamic_satellite_placement_is_bit_identical() {
     assert_eq!(
         satellite_placement_hash(1, 1404, 1405),
-        13_299_191_120_005_611_110
+        12_927_035_086_748_883_597
     );
 }
