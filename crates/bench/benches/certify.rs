@@ -29,7 +29,7 @@ fn bench_certificate(c: &mut Criterion) {
     let mut group = c.benchmark_group("certificate");
     for &(m, p, q) in &[(2usize, 2usize, 0usize), (2, 2, 1), (3, 3, 0)] {
         let (problem, coeffs) = solved(m, p, q, 800);
-        let h = InstanceHomotopy::new(&problem, &problem);
+        let h = InstanceHomotopy::target(&problem);
         let mut ws = TrackWorkspace::new();
         group.bench_function(format!("newton_cert_({m},{p},{q})"), |b| {
             b.iter(|| {
@@ -45,7 +45,7 @@ fn bench_refinement(c: &mut Criterion) {
     let mut group = c.benchmark_group("refine_dd");
     for &(m, p, q) in &[(2usize, 2usize, 0usize), (2, 2, 1), (3, 3, 0)] {
         let (problem, coeffs) = solved(m, p, q, 801);
-        let h = InstanceHomotopy::new(&problem, &problem);
+        let h = InstanceHomotopy::target(&problem);
         let sys = TargetConditions::new(&problem);
         let mut ws = TrackWorkspace::new();
         group.bench_function(format!("refine_({m},{p},{q})"), |b| {

@@ -7,15 +7,16 @@
 //! over [`pieri_num::Scalar`]) and uses it to
 //!
 //! 1. produce an α-theory Newton certificate per solution (through
-//!    [`pieri_certify::certify_endpoint`] on the instance homotopy at
-//!    `t = 1`, whose fused `DetCofactor` kernels supply residual and
-//!    Jacobian in one factorisation per condition), and
+//!    [`pieri_certify::certify_endpoint`] on the target system
+//!    [`InstanceHomotopy::target`], whose `n` fixed conditions share the
+//!    homotopies' fused `DetCofactor` kernels: residual and Jacobian in
+//!    one factorisation per condition), and
 //! 2. polish `Certified`/`Suspect` endpoints in double-double with the
 //!    mixed-precision refiner ([`pieri_certify::refine_endpoint`]),
 //!    pushing residuals well below what `f64` tracking can reach.
 
 use crate::eval::CoeffLayout;
-use crate::instance::InstanceHomotopy;
+use crate::homotopy::InstanceHomotopy;
 use crate::problem::PieriProblem;
 use pieri_certify::{certify_endpoint, refine_endpoint, Certificate, CertifyPolicy, SystemEval};
 use pieri_linalg::{det_generic, CMat};
@@ -109,10 +110,9 @@ pub fn certify_solution_set(
     if !policy.certify && !policy.refine {
         return Vec::new();
     }
-    // Degenerate start == target: the instance homotopy at t = 1 is
-    // exactly the target system, with the fused kernels supplying
-    // residual + Jacobian for the Newton certificate and the refiner.
-    let h = InstanceHomotopy::new(problem, problem);
+    // The n fixed target conditions: the fused kernels supply residual
+    // and Jacobian for the Newton certificate and the refiner.
+    let h = InstanceHomotopy::target(problem);
     let sys = TargetConditions::new(problem);
     let mut ws = TrackWorkspace::new();
     coeffs
@@ -156,23 +156,28 @@ mod tests {
         for &(m, p, q) in &[(2usize, 2usize, 0usize), (2, 2, 1), (3, 2, 1)] {
             let mut rng = seeded_rng(600 + (m * 10 + p + q) as u64);
             let problem = PieriProblem::random(Shape::new(m, p, q), &mut rng);
-            let h = InstanceHomotopy::new(&problem, &problem);
             let sys = TargetConditions::new(&problem);
             let k = SystemEval::<Complex64>::dim(&sys);
             let x: Vec<Complex64> = (0..k)
                 .map(|_| pieri_num::random_complex(&mut rng))
                 .collect();
-            let mut via_h = vec![Complex64::ZERO; k];
-            h.eval(&x, 1.0, &mut via_h);
             let mut via_sys = vec![Complex64::ZERO; k];
             SystemEval::<Complex64>::eval(&sys, &x, &mut via_sys);
-            for i in 0..k {
-                assert!(
-                    via_h[i].dist(via_sys[i]) < 1e-10 * (1.0 + via_h[i].norm()),
-                    "({m},{p},{q}) condition {i}: {:?} vs {:?}",
-                    via_h[i],
-                    via_sys[i]
-                );
+            // The fixed target certification evaluates, and the instance
+            // continuation from the problem to itself, which ends there.
+            let fixed = InstanceHomotopy::target(&problem);
+            let moving = InstanceHomotopy::new(&problem, &problem);
+            for h in [fixed, moving] {
+                let mut via_h = vec![Complex64::ZERO; k];
+                h.eval(&x, 1.0, &mut via_h);
+                for i in 0..k {
+                    assert!(
+                        via_h[i].dist(via_sys[i]) < 1e-10 * (1.0 + via_h[i].norm()),
+                        "({m},{p},{q}) condition {i}: {:?} vs {:?}",
+                        via_h[i],
+                        via_sys[i]
+                    );
+                }
             }
         }
     }

@@ -1,27 +1,50 @@
-//! The Pieri homotopy — equation (3) of the paper.
+//! The intersection conditions and both homotopies built on them.
 //!
-//! At a node with pattern `b` of rank `k`, the homotopy deforms the
-//! special plane `M_F` of the pattern into the `k`-th input plane `L_k`
-//! while the homogenised interpolation point moves from `(1, 0)` (i.e.
-//! `s = ∞`, where the map meets `M_F`) to `(s_k, 1)`:
+//! Every system this crate tracks or certifies is a set of conditions
+//! `det [X(σ, u) | P] = 0` on the maps `X` fitting one localization
+//! pattern, evaluated at a homogenised interpolation point `(σ, u)`. A
+//! condition is either *fixed* (plane `L_i`, point `(s_i, 1)`) or
+//! *moving*:
 //!
 //! ```text
-//! det [ X(s_i, 1) | L_i ] = 0            i = 1 .. k−1   (fixed)
-//! det [ X(ŝ(t), û(t)) | M(t) ] = 0                      (moving)
-//!
-//! M(t)        = (1−t)·γ·M_F + t·L_k
-//! (ŝ, û)(t)   = ((1−t) + t·s_k ,  t)
+//! P(t) = (1−t)·F + t·L ,   σ(t) = (1−t)·r + t·s ,   u(t) = t  or  u ≡ 1
 //! ```
 //!
-//! `M_F` is spanned by the standard basis vectors complementary to the
-//! bottom-pivot residues, so `det [X(1,0) | M_F] = ± ∏_j x_{b_j,j}`: a map
-//! meets `M_F` at infinity exactly when one of its bottom pivot entries
-//! vanishes — which is how the child solutions (decremented pivot = zero
-//! entry) become the start solutions at `t = 0`.
+//! with `u(t) = t` only when the point starts at `s = ∞` (`r = 1`).
+//! [`ConditionSystem`] holds one list of them; three constructors name
+//! the systems of the paper:
 //!
-//! Residuals are determinants evaluated by LU; gradients contract the
-//! cofactor matrix (Jacobi's formula) against the sparse `∂A/∂x` — one
-//! unknown touches exactly one entry of one condition matrix.
+//! * [`PieriHomotopy::new`] — homotopy (3) at a pattern `b` of rank `k`.
+//!   Conditions `1..k−1` are fixed; condition `k` moves from the special
+//!   plane `F = γ·M_F` at `s = ∞` to `(L_k, s_k)`:
+//!
+//!   ```text
+//!   det [ X(s_i, 1) | L_i ] = 0            i = 1 .. k−1   (fixed)
+//!   det [ X(ŝ(t), û(t)) | M(t) ] = 0                      (moving)
+//!
+//!   M(t)        = (1−t)·γ·M_F + t·L_k
+//!   (ŝ, û)(t)   = ((1−t) + t·s_k ,  t)
+//!   ```
+//!
+//!   `M_F` is spanned by the standard basis vectors complementary to the
+//!   bottom-pivot residues, so `det [X(1,0) | M_F] = ± ∏_j x_{b_j,j}`: a
+//!   map meets `M_F` at infinity exactly when one of its bottom pivot
+//!   entries vanishes — which is how the child solutions (decremented
+//!   pivot = zero entry) become the start solutions at `t = 0`.
+//! * [`InstanceHomotopy::new`] — the coefficient-parameter continuation
+//!   of Section III: all `n` conditions move from a generic start
+//!   instance `(γ·R_i, r_i)` to the target `(L_i, s_i)` (see
+//!   [`crate::continue_to_instance`]).
+//! * [`InstanceHomotopy::target`] — the target system itself, all `n`
+//!   conditions fixed: what certification evaluates.
+//!
+//! Residuals are determinants; gradients contract the cofactor matrix
+//! (Jacobi's formula) against the sparse `∂A/∂x` — one unknown touches
+//! exactly one entry of one condition matrix. The reference kernels
+//! (`eval`, `jacobian_x`, `dt`) build each matrix the plain way and use
+//! minor-based gradients; the fused ones (`eval_and_jacobian`,
+//! `jacobian_and_dt`) write it into reusable scratch with hoisted weights
+//! and take residual and cofactors from one factorisation.
 
 use crate::eval::CoeffLayout;
 use crate::pattern::Pattern;
@@ -52,30 +75,123 @@ pub fn special_plane(pattern: &Pattern) -> CMat {
     })
 }
 
-/// One Pieri homotopy instance: the square system whose tracking moves a
-/// child solution (rank `k−1`) to a solution of rank `k`.
-///
-/// Everything that does not depend on `(x, t)` is hoisted into the
-/// constructor: the fixed conditions' homogenisation weights (their
-/// interpolation points never move, so the `powi` ladders are computed
-/// once), and the moving plane's derivative `dM/dt = L_k − γ·M_F`.
-pub struct PieriHomotopy {
-    layout: CoeffLayout,
-    /// Fixed conditions `(L_i, s_i)`, `i = 0..k−1` (0-indexed).
-    fixed: Vec<(CMat, Complex64)>,
-    /// The moving target plane `L_k`.
-    target_plane: CMat,
-    /// The moving interpolation point target `s_k`.
-    target_point: Complex64,
-    /// `γ·M_F` (gamma premultiplied).
-    gamma_special: CMat,
-    /// `dM/dt = L_k − γ·M_F` (loop-invariant of `dt`).
-    dm: CMat,
-    /// Per fixed condition: slot weights at `(s_i, 1)`.
-    fixed_slot_w: Vec<Vec<Complex64>>,
-    /// Per fixed condition: top-pivot weights at `(s_i, 1)`.
-    fixed_top_w: Vec<Vec<Complex64>>,
+/// One condition `det [X(σ, u) | P] = 0`.
+enum Condition {
+    /// Plane and point never move: the slot and top-pivot weights at
+    /// `(point, 1)` are computed once, at construction.
+    Fixed {
+        plane: CMat,
+        point: Complex64,
+        slot_w: Vec<Complex64>,
+        top_w: Vec<Complex64>,
+    },
+    /// Plane and point move with `t`.
+    Moving(Motion),
 }
+
+/// A moving condition: plane `(1−t)·from + t·to`, point
+/// `σ = (1−t)·r + t·s`, homogenised as `(σ, t)` when the point starts at
+/// `s = ∞` and as `(σ, 1)` otherwise.
+struct Motion {
+    from: CMat,
+    to: CMat,
+    /// `dP/dt = to − from` (loop-invariant of `∂H/∂t`).
+    dplane: CMat,
+    r: Complex64,
+    s: Complex64,
+}
+
+impl Condition {
+    fn fixed(layout: &CoeffLayout, plane: &CMat, point: Complex64) -> Self {
+        let mut slot_w = vec![Complex64::ZERO; layout.dim()];
+        let mut top_w = vec![Complex64::ZERO; layout.pattern().shape().p()];
+        layout.weights_into(point, Complex64::ONE, &mut slot_w, &mut top_w);
+        Condition::Fixed {
+            plane: plane.clone(),
+            point,
+            slot_w,
+            top_w,
+        }
+    }
+
+    fn moving(from: CMat, to: &CMat, r: Complex64, s: Complex64) -> Self {
+        Condition::Moving(Motion {
+            dplane: to - &from,
+            from,
+            to: to.clone(),
+            r,
+            s,
+        })
+    }
+
+    /// The homogenised point `(σ, u)` at `t` (see [`Motion::point_at`]).
+    fn point_at(&self, t: f64, from_infinity: bool) -> (Complex64, Complex64) {
+        match self {
+            Condition::Fixed { point, .. } => (*point, Complex64::ONE),
+            Condition::Moving(mv) => mv.point_at(t, from_infinity),
+        }
+    }
+
+    /// The plane at `t`, as a new matrix (reference kernels only).
+    fn plane_at(&self, t: f64) -> CMat {
+        match self {
+            Condition::Fixed { plane, .. } => plane.clone(),
+            Condition::Moving(mv) => {
+                &mv.from.scale(Complex64::real(1.0 - t)) + &mv.to.scale(Complex64::real(t))
+            }
+        }
+    }
+
+    /// The slot weights of the matrix [`ConditionSystem::build`] last
+    /// wrote for this condition: the precomputed ones of a fixed
+    /// condition, `moving` (the scratch buffer) for a moving one.
+    fn slot_weights<'a>(&'a self, moving: &'a [Complex64]) -> &'a [Complex64] {
+        match self {
+            Condition::Fixed { slot_w, .. } => slot_w,
+            Condition::Moving(_) => moving,
+        }
+    }
+}
+
+impl Motion {
+    /// The homogenised point `(σ, u)` at `t`; `from_infinity` holds in
+    /// the Pieri homotopy, whose moving point starts at `s = ∞`
+    /// (`r = 1`, `u = t`).
+    fn point_at(&self, t: f64, from_infinity: bool) -> (Complex64, Complex64) {
+        let sigma = self.r.scale(1.0 - t) + self.s.scale(t);
+        let u = if from_infinity {
+            Complex64::real(t)
+        } else {
+            Complex64::ONE
+        };
+        (sigma, u)
+    }
+}
+
+/// A square system of intersection conditions on the maps of one
+/// pattern, tracked or certified as a [`Homotopy`] in `t`.
+///
+/// `PIERI` marks the Pieri homotopy ([`PieriHomotopy`]): its one moving
+/// condition starts at `s = ∞`, and its paths all end at regular
+/// solutions ([`Homotopy::regular_endpoints`]). The moving points of an
+/// [`InstanceHomotopy`] are finite throughout, and its paths may diverge
+/// to laws at infinity. Everything that does not depend on `(x, t)` is
+/// hoisted into the constructors: a fixed condition's weights (its point
+/// never moves, so the `powi` ladders run once) and a moving plane's
+/// derivative.
+pub struct ConditionSystem<const PIERI: bool> {
+    layout: CoeffLayout,
+    conds: Vec<Condition>,
+}
+
+/// One instance of homotopy (3) of the paper: the square system whose
+/// tracking moves a child solution (rank `k−1`) to a solution of rank
+/// `k`.
+pub type PieriHomotopy = ConditionSystem<true>;
+
+/// The instance homotopy: every condition's plane and interpolation point
+/// moves from the generic start instance to the target instance.
+pub type InstanceHomotopy = ConditionSystem<false>;
 
 impl PieriHomotopy {
     /// Builds the homotopy for `pattern` (of rank `k ≥ 1`) using the first
@@ -87,34 +203,60 @@ impl PieriHomotopy {
         let k = pattern.rank();
         assert!(k >= 1, "trivial pattern has no homotopy");
         let layout = CoeffLayout::new(pattern);
-        let fixed: Vec<(CMat, Complex64)> = (0..k - 1)
-            .map(|i| (problem.plane(i).clone(), problem.point(i)))
+        let mut conds: Vec<Condition> = (0..k - 1)
+            .map(|i| Condition::fixed(&layout, problem.plane(i), problem.point(i)))
             .collect();
-        let gamma_special = special_plane(pattern).scale(problem.gamma());
-        let target_plane = problem.plane(k - 1).clone();
-        let dm = &target_plane - &gamma_special;
-        let p = pattern.shape().p();
-        let mut fixed_slot_w = Vec::with_capacity(fixed.len());
-        let mut fixed_top_w = Vec::with_capacity(fixed.len());
-        for (_, s) in &fixed {
-            let mut sw = vec![Complex64::ZERO; layout.dim()];
-            let mut tw = vec![Complex64::ZERO; p];
-            layout.weights_into(*s, Complex64::ONE, &mut sw, &mut tw);
-            fixed_slot_w.push(sw);
-            fixed_top_w.push(tw);
-        }
-        PieriHomotopy {
-            layout,
-            fixed,
-            target_plane,
-            target_point: problem.point(k - 1),
-            gamma_special,
-            dm,
-            fixed_slot_w,
-            fixed_top_w,
+        conds.push(Condition::moving(
+            special_plane(pattern).scale(problem.gamma()),
+            problem.plane(k - 1),
+            Complex64::ONE,
+            problem.point(k - 1),
+        ));
+        ConditionSystem { layout, conds }
+    }
+}
+
+impl InstanceHomotopy {
+    /// Builds the homotopy between two instances of the same shape.
+    ///
+    /// # Panics
+    /// Panics when the shapes differ.
+    pub fn new(start: &PieriProblem, target: &PieriProblem) -> Self {
+        assert_eq!(
+            start.shape(),
+            target.shape(),
+            "instances must share a shape"
+        );
+        let conds = (0..start.shape().conditions())
+            .map(|i| {
+                Condition::moving(
+                    start.plane(i).scale(start.gamma()),
+                    target.plane(i),
+                    start.point(i),
+                    target.point(i),
+                )
+            })
+            .collect();
+        ConditionSystem {
+            layout: CoeffLayout::new(&start.shape().root()),
+            conds,
         }
     }
 
+    /// The target system of `problem`: all `n` conditions fixed at its
+    /// planes and points, so `H(x, t)` does not depend on `t` and
+    /// `∂H/∂t = 0`. It is the system every instance path ends on;
+    /// certification evaluates it at `t = 1`.
+    pub fn target(problem: &PieriProblem) -> Self {
+        let layout = CoeffLayout::new(&problem.shape().root());
+        let conds = (0..problem.shape().conditions())
+            .map(|i| Condition::fixed(&layout, problem.plane(i), problem.point(i)))
+            .collect();
+        ConditionSystem { layout, conds }
+    }
+}
+
+impl<const PIERI: bool> ConditionSystem<PIERI> {
     /// The pattern being solved.
     pub fn pattern(&self) -> &Pattern {
         self.layout.pattern()
@@ -125,160 +267,160 @@ impl PieriHomotopy {
         &self.layout
     }
 
-    /// Moving point `ŝ(t) = (1−t) + t·s_k` and its derivative.
-    #[inline]
-    fn moving_point(&self, t: f64) -> (Complex64, Complex64) {
-        let s = Complex64::real(1.0 - t) + self.target_point.scale(t);
-        (s, Complex64::real(t))
+    /// Condition `c`'s matrix `[X(σ, u) | P(t)]` built the plain way,
+    /// with its point (reference kernels).
+    fn matrix(&self, c: &Condition, x: &[Complex64], t: f64) -> (CMat, Complex64, Complex64) {
+        let (s, u) = c.point_at(t, PIERI);
+        (self.layout.eval_map(x, s, u).hstack(&c.plane_at(t)), s, u)
     }
 
-    /// Moving plane `M(t) = (1−t)·γ·M_F + t·L_k`.
-    fn moving_plane(&self, t: f64) -> CMat {
-        let a = self.gamma_special.scale(Complex64::real(1.0 - t));
-        let b = self.target_plane.scale(Complex64::real(t));
-        &a + &b
+    /// The fused kernels' scratch from the tracker's slot, sized for this
+    /// system.
+    fn scratch<'a>(&self, scratch: &'a mut HomotopyScratch) -> &'a mut CondScratch {
+        let shape = self.layout.pattern().shape();
+        let sc = scratch.get_or_insert_with(CondScratch::new);
+        sc.ensure(shape.big_n(), self.layout.dim(), shape.p());
+        sc
     }
 
-    /// Condition matrix `[X(s,u) | L]`.
-    fn condition_matrix(&self, x: &[Complex64], s: Complex64, u: Complex64, plane: &CMat) -> CMat {
-        self.layout.eval_map(x, s, u).hstack(plane)
-    }
-
-    /// Writes fixed condition `i`'s matrix `[X(s_i, 1) | L_i]` into
-    /// `cond` using the precomputed weights — no allocation, no `powi`.
-    fn build_fixed_cond(&self, i: usize, x: &[Complex64], cond: &mut CMat) {
+    /// Writes condition `c`'s matrix `[X(σ, u) | P(t)]` into `sc.cond`
+    /// without allocating. A fixed condition copies its plane and reads
+    /// its precomputed weights; a moving one scale-adds its plane in
+    /// place and leaves its weights in `sc.slot_w`/`sc.top_w` for the
+    /// caller's Jacobian row.
+    ///
+    /// Forced inline, like [`Self::dt_entry`]: each kernel then compiles
+    /// its own copy, specialised per system (the instance homotopy's
+    /// `u ≡ 1` folds into the weights). Left to the compiler, the
+    /// instance homotopy's `jacobian_and_dt` ran 3–11% slower than the
+    /// separately written kernel it replaced (2-core Xeon VM).
+    #[inline(always)]
+    fn build(&self, c: &Condition, x: &[Complex64], t: f64, sc: &mut CondScratch) {
         let shape = self.layout.pattern().shape();
         let (n, p, m) = (shape.big_n(), shape.p(), shape.m());
-        let plane = self.fixed[i].0.as_slice().chunks_exact(m);
-        for (row, plane_row) in cond.as_mut_slice().chunks_exact_mut(n).zip(plane) {
-            row[p..].copy_from_slice(plane_row);
-        }
-        self.layout
-            .eval_map_weighted_into(x, &self.fixed_slot_w[i], &self.fixed_top_w[i], cond);
-    }
-
-    /// Writes the moving condition matrix `[X(ŝ, û) | M(t)]` into `cond`:
-    /// the moving plane `M(t) = (1−t)·γ·M_F + t·L_k` is scale-added
-    /// directly into the plane block (no intermediate matrices) and the
-    /// moving weights land in the scratch buffers for the caller's
-    /// Jacobian row.
-    #[allow(clippy::too_many_arguments)] // scratch buffers are split borrows
-    fn build_moving_cond(
-        &self,
-        x: &[Complex64],
-        t: f64,
-        s: Complex64,
-        u: Complex64,
-        slot_w: &mut [Complex64],
-        top_w: &mut [Complex64],
-        cond: &mut CMat,
-    ) {
-        let shape = self.layout.pattern().shape();
-        let (n, p, m) = (shape.big_n(), shape.p(), shape.m());
-        let a = Complex64::real(1.0 - t);
-        let b = Complex64::real(t);
-        let planes = self
-            .gamma_special
-            .as_slice()
-            .chunks_exact(m)
-            .zip(self.target_plane.as_slice().chunks_exact(m));
-        for (row, (gs, tp)) in cond.as_mut_slice().chunks_exact_mut(n).zip(planes) {
-            for ((e, &g), &l) in row[p..].iter_mut().zip(gs).zip(tp) {
-                *e = g * a + l * b;
+        let rows = sc.cond.as_mut_slice().chunks_exact_mut(n);
+        match c {
+            Condition::Fixed {
+                plane,
+                slot_w,
+                top_w,
+                ..
+            } => {
+                for (row, plane_row) in rows.zip(plane.as_slice().chunks_exact(m)) {
+                    row[p..].copy_from_slice(plane_row);
+                }
+                self.layout
+                    .eval_map_weighted_into(x, slot_w, top_w, &mut sc.cond);
+            }
+            Condition::Moving(mv) => {
+                let (a, b) = (Complex64::real(1.0 - t), Complex64::real(t));
+                let planes = mv
+                    .from
+                    .as_slice()
+                    .chunks_exact(m)
+                    .zip(mv.to.as_slice().chunks_exact(m));
+                for (row, (from_row, to_row)) in rows.zip(planes) {
+                    for ((e, &f), &l) in row[p..].iter_mut().zip(from_row).zip(to_row) {
+                        *e = f * a + l * b;
+                    }
+                }
+                let (s, u) = mv.point_at(t, PIERI);
+                self.layout
+                    .weights_into(s, u, &mut sc.slot_w, &mut sc.top_w);
+                self.layout
+                    .eval_map_weighted_into(x, &sc.slot_w, &sc.top_w, &mut sc.cond);
             }
         }
-        self.layout.weights_into(s, u, slot_w, top_w);
-        self.layout.eval_map_weighted_into(x, slot_w, top_w, cond);
+    }
+
+    /// `∂H/∂t` of a moving condition at `(x, t)` from the full cofactor
+    /// matrix `cof` of its condition matrix: the point's motion through
+    /// the X block, then the plane's `dP/dt`.
+    #[inline(always)]
+    fn dt_entry(&self, mv: &Motion, x: &[Complex64], t: f64, cof: &CMat) -> Complex64 {
+        let shape = self.layout.pattern().shape();
+        let (n, p) = (shape.big_n(), shape.p());
+        let cof = cof.as_slice();
+        let (s, u) = mv.point_at(t, PIERI);
+        let ds = mv.s - mv.r;
+        let du = if PIERI {
+            Complex64::ONE
+        } else {
+            Complex64::ZERO
+        };
+        let mut acc = Complex64::ZERO;
+        // Top pivots carry weight u^{d_j}: they move only when u does.
+        if PIERI {
+            for j in 0..p {
+                let wdt = self.layout.top_pivot_weight_dt(j, s, u, du);
+                if wdt != Complex64::ZERO {
+                    acc += cof[j * n + j] * wdt;
+                }
+            }
+        }
+        for (slot, (&xs, &off)) in x.iter().zip(self.layout.offsets()).enumerate() {
+            if xs == Complex64::ZERO {
+                continue;
+            }
+            let wdt = self.layout.weight_dt(slot, s, u, ds, du);
+            if wdt != Complex64::ZERO {
+                acc += cof[off] * xs * wdt;
+            }
+        }
+        let dplane = mv.dplane.as_slice().chunks_exact(shape.m());
+        for (cof_row, dp_row) in cof.chunks_exact(n).zip(dplane) {
+            for (&cf, &v) in cof_row[p..].iter().zip(dp_row) {
+                if v != Complex64::ZERO {
+                    acc += cf * v;
+                }
+            }
+        }
+        acc
     }
 }
 
-impl Homotopy for PieriHomotopy {
+impl<const PIERI: bool> Homotopy for ConditionSystem<PIERI> {
     fn dim(&self) -> usize {
         self.layout.dim()
     }
 
-    /// Pieri homotopies are optimal: for generic planes and points every
-    /// path ends at a regular solution of the next level.
+    /// `true` for Pieri homotopies, which are optimal: for generic planes
+    /// and points every path ends at a regular solution of the next
+    /// level.
     fn regular_endpoints(&self) -> bool {
-        true
+        PIERI
     }
 
     fn eval(&self, x: &[Complex64], t: f64, out: &mut [Complex64]) {
         debug_assert_eq!(out.len(), self.dim());
-        for (i, (plane, s)) in self.fixed.iter().enumerate() {
-            out[i] = det(&self.condition_matrix(x, *s, Complex64::ONE, plane));
+        for (o, c) in out.iter_mut().zip(&self.conds) {
+            *o = det(&self.matrix(c, x, t).0);
         }
-        let (s, u) = self.moving_point(t);
-        let m = self.moving_plane(t);
-        out[self.dim() - 1] = det(&self.condition_matrix(x, s, u, &m));
     }
 
     fn jacobian_x(&self, x: &[Complex64], t: f64, out: &mut CMat) {
         let k = self.dim();
         debug_assert_eq!((out.rows(), out.cols()), (k, k));
-        // Row for each fixed condition.
-        for (i, (plane, si)) in self.fixed.iter().enumerate() {
-            let a = self.condition_matrix(x, *si, Complex64::ONE, plane);
+        for (i, c) in self.conds.iter().enumerate() {
+            let (a, s, u) = self.matrix(c, x, t);
             let cof = det_gradient(&a);
             for slot in 0..k {
-                let w = self.layout.weight(slot, *si, Complex64::ONE);
+                let w = self.layout.weight(slot, s, u);
                 out[(i, slot)] = cof[(self.layout.phys_row(slot), self.layout.col(slot))] * w;
             }
-        }
-        // Moving condition row.
-        let (s, u) = self.moving_point(t);
-        let m = self.moving_plane(t);
-        let a = self.condition_matrix(x, s, u, &m);
-        let cof = det_gradient(&a);
-        for slot in 0..k {
-            let w = self.layout.weight(slot, s, u);
-            out[(k - 1, slot)] = cof[(self.layout.phys_row(slot), self.layout.col(slot))] * w;
         }
     }
 
     fn dt(&self, x: &[Complex64], t: f64, out: &mut [Complex64]) {
-        let k = self.dim();
-        debug_assert_eq!(out.len(), k);
-        // Fixed conditions do not depend on t.
-        for o in out.iter_mut().take(k - 1) {
-            *o = Complex64::ZERO;
-        }
-        let (s, u) = self.moving_point(t);
-        let ds = self.target_point - Complex64::ONE; // dŝ/dt
-        let du = Complex64::ONE; // dû/dt
-        let m = self.moving_plane(t);
-        let a = self.condition_matrix(x, s, u, &m);
-        let cof = det_gradient(&a);
-        let shape = self.layout.pattern().shape();
-        let p = shape.p();
-        let mut acc = Complex64::ZERO;
-        // d/dt of the X block: top pivots and slots.
-        for j in 0..p {
-            let wdt = self.layout.top_pivot_weight_dt(j, s, u, du);
-            if wdt != Complex64::ZERO {
-                acc += cof[(j, j)] * wdt;
-            }
-        }
-        for slot in 0..k {
-            if x[slot] == Complex64::ZERO {
-                continue;
-            }
-            let wdt = self.layout.weight_dt(slot, s, u, ds, du);
-            if wdt != Complex64::ZERO {
-                acc += cof[(self.layout.phys_row(slot), self.layout.col(slot))] * x[slot] * wdt;
-            }
-        }
-        // d/dt of the moving plane block: dM/dt = L_k − γM_F,
-        // precomputed at construction.
-        for i in 0..shape.big_n() {
-            for c in 0..shape.m() {
-                let v = self.dm[(i, c)];
-                if v != Complex64::ZERO {
-                    acc += cof[(i, p + c)] * v;
+        debug_assert_eq!(out.len(), self.dim());
+        for (o, c) in out.iter_mut().zip(&self.conds) {
+            *o = match c {
+                Condition::Fixed { .. } => Complex64::ZERO,
+                Condition::Moving(mv) => {
+                    self.dt_entry(mv, x, t, &det_gradient(&self.matrix(c, x, t).0))
                 }
-            }
+            };
         }
-        out[k - 1] = acc;
     }
 
     fn eval_and_jacobian(
@@ -292,30 +434,20 @@ impl Homotopy for PieriHomotopy {
         let k = self.dim();
         debug_assert_eq!(fx.len(), k);
         debug_assert_eq!((jac.rows(), jac.cols()), (k, k));
-        let shape = self.layout.pattern().shape();
-        let sc = scratch.get_or_insert_with(CondScratch::new);
-        sc.ensure(shape.big_n(), k, shape.p());
-        let p = shape.p();
-        // Fixed conditions: one matrix build, one factorisation each —
-        // the determinant is the residual entry, the cofactor entries
-        // contracted with the precomputed weights are the Jacobian row.
-        // Only the p X-block cofactor columns are ever read here.
-        for i in 0..self.fixed.len() {
-            self.build_fixed_cond(i, x, &mut sc.cond);
+        let p = self.layout.pattern().shape().p();
+        let sc = self.scratch(scratch);
+        // One matrix build and one factorisation per condition: the
+        // determinant is the residual entry, the cofactors contracted
+        // with the slot weights are the Jacobian row. Only the p X-block
+        // cofactor columns are ever read here.
+        for (i, c) in self.conds.iter().enumerate() {
+            self.build(c, x, t, sc);
             fx[i] = sc
                 .engine
                 .det_and_cofactor_cols_into(&sc.cond, &mut sc.cof, p);
             self.layout
-                .contract_row(&sc.cof, &self.fixed_slot_w[i], jac.row_mut(i));
+                .contract_row(&sc.cof, c.slot_weights(&sc.slot_w), jac.row_mut(i));
         }
-        // Moving condition.
-        let (s, u) = self.moving_point(t);
-        self.build_moving_cond(x, t, s, u, &mut sc.slot_w, &mut sc.top_w, &mut sc.cond);
-        fx[k - 1] = sc
-            .engine
-            .det_and_cofactor_cols_into(&sc.cond, &mut sc.cof, p);
-        self.layout
-            .contract_row(&sc.cof, &sc.slot_w, jac.row_mut(k - 1));
     }
 
     fn jacobian_and_dt(
@@ -330,55 +462,29 @@ impl Homotopy for PieriHomotopy {
         debug_assert_eq!(ht.len(), k);
         debug_assert_eq!((jac.rows(), jac.cols()), (k, k));
         let shape = self.layout.pattern().shape();
-        let p = shape.p();
-        let sc = scratch.get_or_insert_with(CondScratch::new);
-        sc.ensure(shape.big_n(), k, p);
-        // Fixed conditions do not depend on t: Jacobian rows only, which
-        // read the p X-block cofactor columns and no determinant.
-        for i in 0..self.fixed.len() {
-            self.build_fixed_cond(i, x, &mut sc.cond);
-            sc.engine.cofactor_cols_into(&sc.cond, &mut sc.cof, p);
-            self.layout
-                .contract_row(&sc.cof, &self.fixed_slot_w[i], jac.row_mut(i));
-            ht[i] = Complex64::ZERO;
-        }
-        // Moving condition: the same cofactor matrix feeds both the
-        // Jacobian row and the ∂H/∂t contraction, which reads every
-        // column.
-        let (s, u) = self.moving_point(t);
-        self.build_moving_cond(x, t, s, u, &mut sc.slot_w, &mut sc.top_w, &mut sc.cond);
-        let n = shape.big_n();
-        sc.engine.cofactor_cols_into(&sc.cond, &mut sc.cof, n);
-        self.layout
-            .contract_row(&sc.cof, &sc.slot_w, jac.row_mut(k - 1));
-        let cof = sc.cof.as_slice();
-        let ds = self.target_point - Complex64::ONE; // dŝ/dt
-        let du = Complex64::ONE; // dû/dt
-        let mut acc = Complex64::ZERO;
-        for j in 0..p {
-            let wdt = self.layout.top_pivot_weight_dt(j, s, u, du);
-            if wdt != Complex64::ZERO {
-                acc += cof[j * n + j] * wdt;
-            }
-        }
-        for (slot, (&xs, &off)) in x.iter().zip(self.layout.offsets()).enumerate() {
-            if xs == Complex64::ZERO {
-                continue;
-            }
-            let wdt = self.layout.weight_dt(slot, s, u, ds, du);
-            if wdt != Complex64::ZERO {
-                acc += cof[off] * xs * wdt;
-            }
-        }
-        let dm = self.dm.as_slice().chunks_exact(shape.m());
-        for (cof_row, dm_row) in cof.chunks_exact(n).zip(dm) {
-            for (&cf, &v) in cof_row[p..].iter().zip(dm_row) {
-                if v != Complex64::ZERO {
-                    acc += cf * v;
+        let (n, p) = (shape.big_n(), shape.p());
+        let sc = self.scratch(scratch);
+        for (i, c) in self.conds.iter().enumerate() {
+            self.build(c, x, t, sc);
+            match c {
+                // A fixed condition does not depend on t: its Jacobian
+                // row reads the p X-block cofactor columns and no
+                // determinant.
+                Condition::Fixed { slot_w, .. } => {
+                    sc.engine.cofactor_cols_into(&sc.cond, &mut sc.cof, p);
+                    self.layout.contract_row(&sc.cof, slot_w, jac.row_mut(i));
+                    ht[i] = Complex64::ZERO;
+                }
+                // A moving one: the same cofactors feed the Jacobian row
+                // and the ∂H/∂t contraction, which reads every column.
+                Condition::Moving(mv) => {
+                    sc.engine.cofactor_cols_into(&sc.cond, &mut sc.cof, n);
+                    self.layout
+                        .contract_row(&sc.cof, &sc.slot_w, jac.row_mut(i));
+                    ht[i] = self.dt_entry(mv, x, t, &sc.cof);
                 }
             }
         }
-        ht[k - 1] = acc;
     }
 }
 

@@ -14,255 +14,19 @@
 //! ```
 //!
 //! tracking the `d(m,p,q)` generic solutions from `t = 0` to `t = 1`.
-//! Instance solutions lying outside the coordinate chart (improper
-//! feedback laws "at infinity") show up as honestly divergent paths.
+//! [`continue_to_instance`] runs those paths on an [`InstanceHomotopy`]
+//! (whose conditions live with the Pieri homotopy's in `homotopy.rs`)
+//! and certifies the endpoints. Instance solutions lying outside the
+//! coordinate chart (improper feedback laws "at infinity") show up as
+//! honestly divergent paths.
 
 use crate::certified::certify_solution_set;
-use crate::eval::CoeffLayout;
+use crate::homotopy::InstanceHomotopy;
 use crate::maps::PMap;
 use crate::problem::PieriProblem;
-use crate::scratch::CondScratch;
 use pieri_certify::{Certificate, CertifyPolicy};
-use pieri_linalg::{det, det_gradient, CMat};
 use pieri_num::Complex64;
-use pieri_tracker::{
-    track_path_with, Homotopy, HomotopyScratch, PathStatus, TrackSettings, TrackStats,
-    TrackWorkspace,
-};
-
-/// The instance homotopy: every condition's plane and interpolation point
-/// moves from the generic start instance to the target instance.
-pub struct InstanceHomotopy {
-    layout: CoeffLayout,
-    /// Per condition: `(γ·R_i, L_i, r_i, s_i)`.
-    conditions: Vec<(CMat, CMat, Complex64, Complex64)>,
-    /// Per condition: `dP/dt = L_i − γ·R_i` (loop-invariant of `dt`).
-    dplanes: Vec<CMat>,
-}
-
-impl InstanceHomotopy {
-    /// Builds the homotopy between two instances of the same shape.
-    ///
-    /// # Panics
-    /// Panics when the shapes differ.
-    pub fn new(start: &PieriProblem, target: &PieriProblem) -> Self {
-        assert_eq!(
-            start.shape(),
-            target.shape(),
-            "instances must share a shape"
-        );
-        let shape = start.shape();
-        let root = shape.root();
-        let layout = CoeffLayout::new(&root);
-        let gamma = start.gamma();
-        let conditions: Vec<(CMat, CMat, Complex64, Complex64)> = (0..shape.conditions())
-            .map(|i| {
-                (
-                    start.plane(i).scale(gamma),
-                    target.plane(i).clone(),
-                    start.point(i),
-                    target.point(i),
-                )
-            })
-            .collect();
-        let dplanes = conditions.iter().map(|(gr, l, _, _)| l - gr).collect();
-        InstanceHomotopy {
-            layout,
-            conditions,
-            dplanes,
-        }
-    }
-
-    fn point_at(&self, i: usize, t: f64) -> (Complex64, Complex64) {
-        let (_, _, r, s) = &self.conditions[i];
-        (r.scale(1.0 - t) + s.scale(t), *s - *r)
-    }
-
-    fn plane_at(&self, i: usize, t: f64) -> CMat {
-        let (gr, l, _, _) = &self.conditions[i];
-        &gr.scale(Complex64::real(1.0 - t)) + &l.scale(Complex64::real(t))
-    }
-
-    /// Writes condition `i`'s matrix `[X(σ_i(t), 1) | P_i(t)]` into
-    /// `cond`, leaving the homogenisation weights in the scratch buffers
-    /// for the caller's Jacobian row. The moving plane is scale-added
-    /// directly into the plane block — no intermediate matrices.
-    #[allow(clippy::too_many_arguments)] // scratch buffers are split borrows
-    fn build_cond(
-        &self,
-        i: usize,
-        x: &[Complex64],
-        t: f64,
-        sigma: Complex64,
-        slot_w: &mut [Complex64],
-        top_w: &mut [Complex64],
-        cond: &mut CMat,
-    ) {
-        let shape = self.layout.pattern().shape();
-        let (n, p, m) = (shape.big_n(), shape.p(), shape.m());
-        let (gr, l, _, _) = &self.conditions[i];
-        let a = Complex64::real(1.0 - t);
-        let b = Complex64::real(t);
-        let planes = gr
-            .as_slice()
-            .chunks_exact(m)
-            .zip(l.as_slice().chunks_exact(m));
-        for (row, (gr_row, l_row)) in cond.as_mut_slice().chunks_exact_mut(n).zip(planes) {
-            for ((e, &g), &l) in row[p..].iter_mut().zip(gr_row).zip(l_row) {
-                *e = g * a + l * b;
-            }
-        }
-        self.layout
-            .weights_into(sigma, Complex64::ONE, slot_w, top_w);
-        self.layout.eval_map_weighted_into(x, slot_w, top_w, cond);
-    }
-}
-
-impl Homotopy for InstanceHomotopy {
-    fn dim(&self) -> usize {
-        self.layout.dim()
-    }
-
-    fn eval(&self, x: &[Complex64], t: f64, out: &mut [Complex64]) {
-        for i in 0..self.conditions.len() {
-            let (sigma, _) = self.point_at(i, t);
-            let a = self
-                .layout
-                .eval_map(x, sigma, Complex64::ONE)
-                .hstack(&self.plane_at(i, t));
-            out[i] = det(&a);
-        }
-    }
-
-    fn jacobian_x(&self, x: &[Complex64], t: f64, out: &mut CMat) {
-        let k = self.dim();
-        for i in 0..self.conditions.len() {
-            let (sigma, _) = self.point_at(i, t);
-            let a = self
-                .layout
-                .eval_map(x, sigma, Complex64::ONE)
-                .hstack(&self.plane_at(i, t));
-            let cof = det_gradient(&a);
-            for slot in 0..k {
-                let w = self.layout.weight(slot, sigma, Complex64::ONE);
-                out[(i, slot)] = cof[(self.layout.phys_row(slot), self.layout.col(slot))] * w;
-            }
-        }
-    }
-
-    fn dt(&self, x: &[Complex64], t: f64, out: &mut [Complex64]) {
-        let shape = self.layout.pattern().shape();
-        let p = shape.p();
-        for i in 0..self.conditions.len() {
-            let (sigma, dsigma) = self.point_at(i, t);
-            let a = self
-                .layout
-                .eval_map(x, sigma, Complex64::ONE)
-                .hstack(&self.plane_at(i, t));
-            let cof = det_gradient(&a);
-            let mut acc = Complex64::ZERO;
-            // X-block: point motion (u ≡ 1 so top pivots are constant).
-            for slot in 0..self.dim() {
-                if x[slot] == Complex64::ZERO {
-                    continue;
-                }
-                let wdt =
-                    self.layout
-                        .weight_dt(slot, sigma, Complex64::ONE, dsigma, Complex64::ZERO);
-                if wdt != Complex64::ZERO {
-                    acc += cof[(self.layout.phys_row(slot), self.layout.col(slot))] * x[slot] * wdt;
-                }
-            }
-            // Plane motion: dP/dt = L_i − γR_i, precomputed at
-            // construction.
-            let dm = &self.dplanes[i];
-            for r in 0..shape.big_n() {
-                for c in 0..shape.m() {
-                    let v = dm[(r, c)];
-                    if v != Complex64::ZERO {
-                        acc += cof[(r, p + c)] * v;
-                    }
-                }
-            }
-            out[i] = acc;
-        }
-    }
-
-    fn eval_and_jacobian(
-        &self,
-        x: &[Complex64],
-        t: f64,
-        fx: &mut [Complex64],
-        jac: &mut CMat,
-        scratch: &mut HomotopyScratch,
-    ) {
-        let k = self.dim();
-        debug_assert_eq!(fx.len(), k);
-        debug_assert_eq!((jac.rows(), jac.cols()), (k, k));
-        let shape = self.layout.pattern().shape();
-        let p = shape.p();
-        let sc = scratch.get_or_insert_with(CondScratch::new);
-        sc.ensure(shape.big_n(), k, p);
-        // Only the p X-block cofactor columns are ever read here.
-        for i in 0..self.conditions.len() {
-            let (sigma, _) = self.point_at(i, t);
-            self.build_cond(i, x, t, sigma, &mut sc.slot_w, &mut sc.top_w, &mut sc.cond);
-            fx[i] = sc
-                .engine
-                .det_and_cofactor_cols_into(&sc.cond, &mut sc.cof, p);
-            self.layout
-                .contract_row(&sc.cof, &sc.slot_w, jac.row_mut(i));
-        }
-    }
-
-    fn jacobian_and_dt(
-        &self,
-        x: &[Complex64],
-        t: f64,
-        jac: &mut CMat,
-        ht: &mut [Complex64],
-        scratch: &mut HomotopyScratch,
-    ) {
-        let k = self.dim();
-        debug_assert_eq!(ht.len(), k);
-        debug_assert_eq!((jac.rows(), jac.cols()), (k, k));
-        let shape = self.layout.pattern().shape();
-        let p = shape.p();
-        let sc = scratch.get_or_insert_with(CondScratch::new);
-        sc.ensure(shape.big_n(), k, p);
-        let n = shape.big_n();
-        for i in 0..self.conditions.len() {
-            let (sigma, dsigma) = self.point_at(i, t);
-            self.build_cond(i, x, t, sigma, &mut sc.slot_w, &mut sc.top_w, &mut sc.cond);
-            sc.engine.cofactor_cols_into(&sc.cond, &mut sc.cof, n);
-            // Jacobian row and ∂H/∂t entry from the same cofactors.
-            self.layout
-                .contract_row(&sc.cof, &sc.slot_w, jac.row_mut(i));
-            let cof = sc.cof.as_slice();
-            let mut acc = Complex64::ZERO;
-            for (slot, (&xs, &off)) in x.iter().zip(self.layout.offsets()).enumerate() {
-                if xs == Complex64::ZERO {
-                    continue;
-                }
-                let wdt =
-                    self.layout
-                        .weight_dt(slot, sigma, Complex64::ONE, dsigma, Complex64::ZERO);
-                if wdt != Complex64::ZERO {
-                    acc += cof[off] * xs * wdt;
-                }
-            }
-            let dm = self.dplanes[i].as_slice().chunks_exact(shape.m());
-            for (cof_row, dm_row) in cof.chunks_exact(n).zip(dm) {
-                for (&cf, &v) in cof_row[p..].iter().zip(dm_row) {
-                    if v != Complex64::ZERO {
-                        acc += cf * v;
-                    }
-                }
-            }
-            ht[i] = acc;
-        }
-    }
-}
+use pieri_tracker::{track_path_with, PathStatus, TrackSettings, TrackStats, TrackWorkspace};
 
 /// Result of continuing a generic solution set to a target instance.
 #[derive(Debug)]
@@ -359,7 +123,9 @@ mod tests {
     use super::*;
     use crate::pattern::Shape;
     use crate::problem::PieriProblem;
+    use pieri_linalg::CMat;
     use pieri_num::seeded_rng;
+    use pieri_tracker::Homotopy;
 
     fn continue_plain(
         start: &PieriProblem,

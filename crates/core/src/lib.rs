@@ -23,9 +23,16 @@
 //!   independent job once its parent solution is known;
 //! * [`PieriProblem`] — problem data (planes and interpolation points,
 //!   random or supplied by the control layer);
-//! * [`PieriHomotopy`] — one instance of homotopy (3) of the paper: the
-//!   moving plane `M(t) = (1−t)·γ·M_F + t·L_k` together with the moving
-//!   homogenised interpolation point `(ŝ, û)(t) = (1−t)·(1,0) + t·(s_k,1)`;
+//! * [`ConditionSystem`] — one system of intersection conditions, each
+//!   fixed or moving with `t`, with one set of reference and fused
+//!   determinant/cofactor kernels behind three constructors:
+//!   [`PieriHomotopy::new`], one instance of homotopy (3) of the paper
+//!   (the moving plane `M(t) = (1−t)·γ·M_F + t·L_k` together with the
+//!   moving homogenised interpolation point
+//!   `(ŝ, û)(t) = (1−t)·(1,0) + t·(s_k,1)`), [`InstanceHomotopy::new`],
+//!   the continuation from a generic instance to a concrete one, and
+//!   [`InstanceHomotopy::target`], the fixed target system that
+//!   certification evaluates;
 //! * [`solve_prepared`] / [`PieriSolution`] — the level-by-level (poset)
 //!   sequential solver against a pre-built [`Poset`], and verified
 //!   solution maps ([`solve`] is the default-settings convenience that
@@ -61,8 +68,8 @@ mod start;
 
 pub use certified::{certify_solution_set, TargetConditions};
 pub use eval::CoeffLayout;
-pub use homotopy::{special_plane, PieriHomotopy};
-pub use instance::{continue_to_instance, InstanceContinuation, InstanceHomotopy};
+pub use homotopy::{special_plane, ConditionSystem, InstanceHomotopy, PieriHomotopy};
+pub use instance::{continue_to_instance, InstanceContinuation};
 pub use maps::PMap;
 pub use pattern::{Pattern, Shape};
 pub use poset::{root_count, LevelProfile, Poset};

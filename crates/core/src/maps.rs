@@ -111,6 +111,22 @@ impl PMap {
     }
 }
 
+/// Smallest [`PMap::dist`] between two of `maps` (0 when there are fewer
+/// than two).
+pub(crate) fn min_pairwise_distance(maps: &[PMap]) -> f64 {
+    let mut min = f64::INFINITY;
+    for i in 0..maps.len() {
+        for j in 0..i {
+            min = min.min(maps[i].dist(&maps[j]));
+        }
+    }
+    if min.is_finite() {
+        min
+    } else {
+        0.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

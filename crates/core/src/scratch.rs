@@ -1,4 +1,4 @@
-//! Shared per-worker scratch of the fused determinantal kernels.
+//! Per-worker scratch of the fused condition kernels.
 
 use pieri_linalg::{CMat, DetCofactor};
 use pieri_num::Complex64;
@@ -6,9 +6,11 @@ use pieri_num::Complex64;
 /// Reusable buffers for evaluating one determinantal condition at a
 /// time: the `n × n` condition matrix, its cofactor matrix, the fused
 /// det+cofactor engine, and the homogenisation-weight buffers of the
-/// condition currently being built. Both the Pieri and the instance
-/// homotopy install one of these into the tracker's
-/// [`pieri_tracker::HomotopyScratch`] slot on first fused call.
+/// moving condition currently being built (a fixed condition keeps its
+/// weights). Every [`crate::ConditionSystem`] (the Pieri homotopy, the
+/// instance homotopy and the certification target) installs one into
+/// the tracker's [`pieri_tracker::HomotopyScratch`] slot on its first
+/// fused call; a worker's one slot serves all three.
 pub(crate) struct CondScratch {
     pub cond: CMat,
     pub cof: CMat,

@@ -68,17 +68,7 @@ impl PieriSolution {
 
     /// Smallest pairwise distance between solutions (0 when fewer than 2).
     pub fn min_pairwise_distance(&self) -> f64 {
-        let mut min = f64::INFINITY;
-        for i in 0..self.maps.len() {
-            for j in 0..i {
-                min = min.min(self.maps[i].dist(&self.maps[j]));
-            }
-        }
-        if min.is_finite() {
-            min
-        } else {
-            0.0
-        }
+        crate::maps::min_pairwise_distance(&self.maps)
     }
 
     /// Total tracking time across all jobs (the sequential cost).

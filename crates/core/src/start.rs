@@ -15,6 +15,7 @@
 //! compute it once per shape and amortize it across every later request
 //! (the `pieri-service` shape cache stores `Arc<StartBundle>`s).
 
+use crate::maps::{min_pairwise_distance, PMap};
 use crate::poset::Poset;
 use crate::problem::PieriProblem;
 use crate::solver::{solve_prepared, PieriSolution};
@@ -23,6 +24,20 @@ use pieri_num::Complex64;
 use pieri_tracker::TrackSettings;
 use rand::Rng;
 use std::time::Duration;
+
+/// Two start roots at most this far apart (max norm of their coefficient
+/// difference) are one root that two paths reached: a bundle holding
+/// them would answer every warm request of its shape with a duplicate
+/// and a missing law.
+const DISTINCT_TOL: f64 = 1e-5;
+
+/// Why `maps` cannot be a generic start solution set, if two of them
+/// coincide.
+fn coinciding_roots(maps: &[PMap]) -> Option<String> {
+    let distance = min_pairwise_distance(maps);
+    (maps.len() >= 2 && distance <= DISTINCT_TOL)
+        .then(|| format!("two generic roots coincide ({distance:.2e} apart)"))
+}
 
 /// A generic start system for one shape: the poset, the random generic
 /// instance, and its `d(m,p,q)` tracked root solutions.
@@ -55,8 +70,10 @@ impl StartBundle {
     /// without committing core to a scheduler choice).
     ///
     /// # Panics
-    /// Panics when the solution's root count falls short of `d(m,p,q)`
-    /// or the poset does not match the problem's shape.
+    /// Panics when the solution's root count falls short of `d(m,p,q)`,
+    /// two of its roots coincide, or the poset does not match the
+    /// problem's shape. The service's shape cache catches the panic; its
+    /// next build of the shape uses the next attempt seed.
     pub fn from_parts(
         poset: Poset,
         problem: PieriProblem,
@@ -69,6 +86,9 @@ impl StartBundle {
             poset.root_count(),
             "generic start solve must find all d(m,p,q) roots"
         );
+        if let Some(why) = coinciding_roots(&solution.maps) {
+            panic!("generic start solve: {why}");
+        }
         StartBundle {
             poset,
             problem,
@@ -87,9 +107,9 @@ impl StartBundle {
     /// Unlike [`StartBundle::from_parts`] this validates instead of
     /// panicking: a stale or corrupted store must degrade to a rebuild,
     /// not poison the server. Checks: root count equals `d(m,p,q)`,
-    /// every vector has the chart dimension with finite entries, and
-    /// the first and last solutions actually satisfy the regenerated
-    /// generic conditions.
+    /// every vector has the chart dimension with finite entries, the
+    /// first and last solutions actually satisfy the regenerated generic
+    /// conditions, and no two solutions coincide.
     pub fn restore<R: Rng + ?Sized>(
         shape: Shape,
         rng: &mut R,
@@ -121,14 +141,18 @@ impl StartBundle {
         // Spot-check that the coefficients belong to *this* generic
         // instance (same seed): a residual that large means the store
         // was written under different generation code or data.
+        let maps: Vec<PMap> = coeffs.iter().map(|x| PMap::from_coeffs(&root, x)).collect();
         for &i in &[0, coeffs.len() - 1] {
-            let res = crate::maps::PMap::from_coeffs(&root, &coeffs[i]).max_residual(&problem);
+            let res = maps[i].max_residual(&problem);
             if res.is_nan() || res >= 1e-6 {
                 return Err(format!(
                     "stored solution {i} does not solve the regenerated generic instance \
                      (residual {res:.2e})"
                 ));
             }
+        }
+        if let Some(why) = coinciding_roots(&maps) {
+            return Err(format!("stored solutions: {why}"));
         }
         Ok(StartBundle {
             poset,
@@ -285,6 +309,37 @@ mod tests {
                 .unwrap_err()
                 .contains("non-finite")
         );
+    }
+
+    #[test]
+    fn restore_rejects_coinciding_roots() {
+        let shape = Shape::new(2, 2, 0);
+        let seed = 374_u64;
+        let bundle = StartBundle::build(
+            shape.clone(),
+            &mut seeded_rng(seed),
+            &TrackSettings::default(),
+        );
+        // Both stored roots solve the regenerated instance, but they are
+        // one root.
+        let mut twice = bundle.coeffs().to_vec();
+        twice[1] = twice[0].clone();
+        let err =
+            StartBundle::restore(shape, &mut seeded_rng(seed), twice, Duration::ZERO).unwrap_err();
+        assert!(err.contains("coincide"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "coincide")]
+    fn from_parts_rejects_coinciding_roots() {
+        let mut rng = seeded_rng(375);
+        let shape = Shape::new(2, 2, 0);
+        let poset = Poset::build(&shape);
+        let problem = PieriProblem::random(shape, &mut rng);
+        let mut solution = solve_prepared(&problem, &poset, &TrackSettings::default());
+        solution.coeffs[1] = solution.coeffs[0].clone();
+        solution.maps[1] = solution.maps[0].clone();
+        let _ = StartBundle::from_parts(poset, problem, solution, Duration::ZERO);
     }
 
     #[test]

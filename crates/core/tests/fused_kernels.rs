@@ -1,14 +1,15 @@
 //! Fused-vs-reference agreement for the determinantal kernels.
 //!
 //! The fused `eval_and_jacobian` / `jacobian_and_dt` paths of the Pieri
-//! and instance homotopies must reproduce the separate reference calls
-//! (`eval` + `jacobian_x` + `dt`, minor-based gradients) to 1e-12
-//! relative accuracy at generic points, across random shapes and points,
-//! and must degrade gracefully to the minor-expansion fallback at
-//! near-singular points (i.e. at solutions, where every condition matrix
-//! is singular by construction).
+//! homotopy (at patterns of every poset level), the instance homotopy
+//! and the certification target (every condition fixed) must reproduce
+//! the separate reference calls (`eval` + `jacobian_x` + `dt`,
+//! minor-based gradients) to 1e-12 relative accuracy at generic points,
+//! across random shapes and points, and must degrade gracefully to the
+//! minor-expansion fallback at near-singular points (i.e. at solutions,
+//! where every condition matrix is singular by construction).
 
-use pieri_core::{InstanceHomotopy, PieriHomotopy, PieriProblem, Shape};
+use pieri_core::{InstanceHomotopy, PieriHomotopy, PieriProblem, Poset, Shape};
 use pieri_linalg::CMat;
 use pieri_num::{random_complex, seeded_rng, Complex64};
 use pieri_tracker::{Homotopy, TrackSettings, TrackWorkspace};
@@ -19,6 +20,15 @@ use proptest::prelude::*;
 fn shapes() -> impl Strategy<Value = (usize, usize, usize)> {
     (1usize..=4, 1usize..=4, 0usize..=2)
         .prop_filter("bounded size", |&(m, p, q)| m * p + q * (m + p) <= 16)
+}
+
+/// The Pieri homotopy at a pattern of any poset level: `pick` selects
+/// the level, then the pattern within it.
+fn pieri_at(problem: &PieriProblem, pick: usize) -> PieriHomotopy {
+    let n = problem.shape().conditions();
+    let poset = Poset::build(problem.shape());
+    let level = poset.level(1 + pick % n);
+    PieriHomotopy::new(problem, &level[pick / n % level.len()])
 }
 
 /// Max-norm relative agreement of two matrices.
@@ -46,12 +56,12 @@ proptest! {
     fn pieri_fused_eval_jacobian_matches_reference(
         (m, p, q) in shapes(),
         seed in 0u64..1 << 16,
+        pick in 0usize..1 << 16,
         t in 0.0f64..1.0,
     ) {
         let mut rng = seeded_rng(seed);
-        let shape = Shape::new(m, p, q);
-        let problem = PieriProblem::random(shape.clone(), &mut rng);
-        let h = PieriHomotopy::new(&problem, &shape.root());
+        let problem = PieriProblem::random(Shape::new(m, p, q), &mut rng);
+        let h = pieri_at(&problem, pick);
         let k = h.dim();
         let x: Vec<Complex64> = (0..k).map(|_| random_complex(&mut rng)).collect();
         let mut fx_ref = vec![Complex64::ZERO; k];
@@ -71,12 +81,12 @@ proptest! {
     fn pieri_fused_jacobian_dt_matches_reference(
         (m, p, q) in shapes(),
         seed in 0u64..1 << 16,
+        pick in 0usize..1 << 16,
         t in 0.0f64..1.0,
     ) {
         let mut rng = seeded_rng(seed);
-        let shape = Shape::new(m, p, q);
-        let problem = PieriProblem::random(shape.clone(), &mut rng);
-        let h = PieriHomotopy::new(&problem, &shape.root());
+        let problem = PieriProblem::random(Shape::new(m, p, q), &mut rng);
+        let h = pieri_at(&problem, pick);
         let k = h.dim();
         let x: Vec<Complex64> = (0..k).map(|_| random_complex(&mut rng)).collect();
         let mut jac_ref = CMat::zeros(k, k);
@@ -93,7 +103,9 @@ proptest! {
         prop_assert!(vecs_agree(&ht, &dt_ref, 1e-12), "dt rows differ");
     }
 
-    /// The instance homotopy's fused kernels match its reference calls.
+    /// The fused kernels of the instance homotopy and of the
+    /// certification target (every condition fixed) match their
+    /// reference calls.
     #[test]
     fn instance_fused_kernels_match_reference(
         (m, p, q) in shapes(),
@@ -104,26 +116,27 @@ proptest! {
         let shape = Shape::new(m, p, q);
         let start = PieriProblem::random(shape.clone(), &mut rng);
         let target = PieriProblem::random(shape.clone(), &mut rng);
-        let h = InstanceHomotopy::new(&start, &target);
-        let k = h.dim();
+        let k = shape.root().rank();
         let x: Vec<Complex64> = (0..k).map(|_| random_complex(&mut rng)).collect();
-        let mut fx_ref = vec![Complex64::ZERO; k];
-        let mut jac_ref = CMat::zeros(k, k);
-        let mut dt_ref = vec![Complex64::ZERO; k];
-        h.eval(&x, t, &mut fx_ref);
-        h.jacobian_x(&x, t, &mut jac_ref);
-        h.dt(&x, t, &mut dt_ref);
         let mut ws = TrackWorkspace::new();
         ws.ensure(k);
-        let (fx, jac, scratch) = ws.eval_buffers();
-        h.eval_and_jacobian(&x, t, fx, jac, scratch);
-        prop_assert!(vecs_agree(fx, &fx_ref, 1e-12), "residuals differ");
-        prop_assert!(mats_agree(jac, &jac_ref, 1e-12), "Jacobians differ");
-        let mut jac2 = CMat::zeros(k, k);
-        let mut ht = vec![Complex64::ZERO; k];
-        h.jacobian_and_dt(&x, t, &mut jac2, &mut ht, scratch);
-        prop_assert!(mats_agree(&jac2, &jac_ref, 1e-12), "Jacobians differ (dt fusion)");
-        prop_assert!(vecs_agree(&ht, &dt_ref, 1e-12), "dt rows differ");
+        for h in [InstanceHomotopy::new(&start, &target), InstanceHomotopy::target(&target)] {
+            let mut fx_ref = vec![Complex64::ZERO; k];
+            let mut jac_ref = CMat::zeros(k, k);
+            let mut dt_ref = vec![Complex64::ZERO; k];
+            h.eval(&x, t, &mut fx_ref);
+            h.jacobian_x(&x, t, &mut jac_ref);
+            h.dt(&x, t, &mut dt_ref);
+            let (fx, jac, scratch) = ws.eval_buffers();
+            h.eval_and_jacobian(&x, t, fx, jac, scratch);
+            prop_assert!(vecs_agree(fx, &fx_ref, 1e-12), "residuals differ");
+            prop_assert!(mats_agree(jac, &jac_ref, 1e-12), "Jacobians differ");
+            let mut jac2 = CMat::zeros(k, k);
+            let mut ht = vec![Complex64::ZERO; k];
+            h.jacobian_and_dt(&x, t, &mut jac2, &mut ht, scratch);
+            prop_assert!(mats_agree(&jac2, &jac_ref, 1e-12), "Jacobians differ (dt fusion)");
+            prop_assert!(vecs_agree(&ht, &dt_ref, 1e-12), "dt rows differ");
+        }
     }
 }
 
