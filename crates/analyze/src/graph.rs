@@ -14,7 +14,8 @@
 //!   body, trait signatures get an empty body);
 //! * call sites are `ident(`-shaped with their `::`-qualifier captured
 //!   (`a::b::f(…)`), method calls (`x.f(…)`) keep an empty qualifier,
-//!   macros (`f!(…)`) and CamelCase constructors are skipped;
+//!   macros (`f!(…)`), CamelCase constructors and atomic loads
+//!   (`x.load(Ordering::…)`) are skipped;
 //! * resolution prefers a same-file definition, then a module-suffix
 //!   match on the qualifier, then a globally unique name; ambiguous
 //!   names resolve to the first candidate in file order (deterministic),
@@ -321,6 +322,16 @@ fn line_tokens(code: &str) -> Vec<Tok> {
     out
 }
 
+/// `x.load(Ordering::…)` at token `i`: an atomic load, which never
+/// blocks and is no workspace fn, though resolution by name alone would
+/// tie it to one named `load` (the bundle store's file loader).
+fn is_atomic_load(toks: &[Tok], i: usize) -> bool {
+    i >= 1
+        && toks[i - 1] == Tok::Dot
+        && matches!(&toks[i], Tok::Ident(name) if name == "load")
+        && matches!(toks.get(i + 2), Some(Tok::Ident(ty)) if ty == "Ordering")
+}
+
 /// `r#loop` → `loop`; plain identifiers pass through.
 fn bare(name: &str) -> &str {
     name.strip_prefix("r#").unwrap_or(name)
@@ -406,10 +417,12 @@ fn extract_file(file_idx: usize, file: &SourceFile, graph: &mut CallGraph) {
                         continue;
                     }
                     // A call: ident directly followed by `(`, not a
-                    // definition, macro or CamelCase constructor.
+                    // definition, macro, CamelCase constructor or atomic
+                    // load.
                     if toks.get(t_idx + 1) == Some(&Tok::Paren)
                         && !is_keyword(name)
                         && !name.chars().next().is_some_and(|c| c.is_uppercase())
+                        && !is_atomic_load(&toks, t_idx)
                     {
                         if let Some(&(caller, _)) = open_fns.last() {
                             let mut qualifier = Vec::new();
@@ -587,6 +600,21 @@ mod tests {
             .unwrap();
         assert_eq!(quald.resolved, Some(sync_park), "qualifier wins");
         assert_eq!(bare.resolved, Some(local_park), "same file wins");
+    }
+
+    #[test]
+    fn atomic_loads_are_not_call_sites() {
+        let (_, g) = ws_from(&[
+            (
+                "crates/a/src/lib.rs",
+                "fn poll() {\n    flag.load(Ordering::SeqCst);\n    store.load(&shape);\n}\n",
+            ),
+            ("crates/b/src/store.rs", "pub fn load(&self) {}\n"),
+        ]);
+        let loads: Vec<&CallSite> = g.calls.iter().filter(|c| c.name == "load").collect();
+        assert_eq!(loads.len(), 1, "{loads:?}");
+        assert_eq!(loads[0].line, 3, "only the store call is a site");
+        assert_eq!(loads[0].resolved, Some(def_idx(&g, "load")));
     }
 
     #[test]

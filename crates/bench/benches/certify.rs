@@ -5,7 +5,9 @@
 //! the whole tree/continuation has already run).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pieri_certify::{certify_endpoint, refine_endpoint, CertifyPolicy};
+use pieri_certify::{
+    certify_endpoint, refine_endpoint, CertifyPolicy, REFINE_MAX_ITERS, REFINE_TOL,
+};
 use pieri_core::{
     certify_solution_set, solve, InstanceHomotopy, PieriProblem, Shape, TargetConditions,
 };
@@ -53,7 +55,13 @@ fn bench_refinement(c: &mut Criterion) {
                 // Double-double refinement of ONE endpoint to 1e-13.
                 let mut x = coeffs[0].clone();
                 criterion::black_box(refine_endpoint::<DdComplex, _, _>(
-                    &h, &sys, 1.0, &mut x, 1e-13, 8, &mut ws,
+                    &h,
+                    &sys,
+                    1.0,
+                    &mut x,
+                    REFINE_TOL,
+                    REFINE_MAX_ITERS,
+                    &mut ws,
                 ))
             })
         });

@@ -19,8 +19,11 @@
 //!   solved against the working-precision Jacobian, the best iterate
 //!   kept — refining never degrades a residual;
 //! * [`CertifyPolicy`] — the knob the solver stack threads through:
-//!   whether to certify, whether and how far to refine, and which
-//!   [`pieri_tracker::RetrackPolicy`] to apply to failed paths.
+//!   [`CertifyPolicy::off`], or [`CertifyPolicy::full`], which
+//!   certifies every shipped solution, refines it to [`REFINE_TOL`]
+//!   within [`REFINE_MAX_ITERS`] iterations and re-tracks failed paths
+//!   on the tracker's fixed schedule
+//!   ([`pieri_tracker::TrackSettings::retrack`]).
 //!
 //! The references are Telen–Van Barel–Verschelde's robust path-tracking
 //! paper (a-posteriori step validation) and the certification chapter of
@@ -35,8 +38,5 @@ mod policy;
 mod refine;
 
 pub use certificate::{certify_endpoint, Certificate, Verdict, ALPHA_CERTIFIED};
-pub use policy::CertifyPolicy;
+pub use policy::{CertifyPolicy, REFINE_MAX_ITERS, REFINE_TOL};
 pub use refine::{refine_endpoint, RefineOutcome, SystemEval};
-
-// Re-exported so policy consumers need only this crate.
-pub use pieri_tracker::RetrackPolicy;

@@ -5,7 +5,7 @@
 //! double-double-measured residual after refinement is ≤ the residual
 //! before, for every target system and every tracked endpoint.
 
-use pieri_certify::{certify_endpoint, refine_endpoint, CertifyPolicy, SystemEval};
+use pieri_certify::{certify_endpoint, refine_endpoint, SystemEval, REFINE_MAX_ITERS, REFINE_TOL};
 use pieri_num::{random_gamma, seeded_rng, Complex64, DdComplex, Scalar};
 use pieri_poly::{Poly, PolySystem, UniPoly};
 use pieri_tracker::{track_path, LinearHomotopy, TrackSettings, TrackWorkspace};
@@ -80,7 +80,6 @@ proptest! {
         let (g, starts) = unity_start(3);
         let h = LinearHomotopy::new(g, univar(target_uni.coeffs()), random_gamma(&mut rng));
         let settings = TrackSettings::default();
-        let policy = CertifyPolicy::full();
         let mut ws = TrackWorkspace::new();
 
         for s in &starts {
@@ -94,7 +93,7 @@ proptest! {
             let before = dd_residual(&sys, x[0]);
             let out = refine_endpoint::<DdComplex, _, _>(
                 &h, &sys, 1.0, &mut x,
-                policy.refine_tol, policy.refine_max_iters, &mut ws,
+                REFINE_TOL, REFINE_MAX_ITERS, &mut ws,
             );
             let after = dd_residual(&sys, x[0]);
 

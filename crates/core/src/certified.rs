@@ -18,7 +18,10 @@
 use crate::eval::CoeffLayout;
 use crate::homotopy::InstanceHomotopy;
 use crate::problem::PieriProblem;
-use pieri_certify::{certify_endpoint, refine_endpoint, Certificate, CertifyPolicy, SystemEval};
+use pieri_certify::{
+    certify_endpoint, refine_endpoint, Certificate, CertifyPolicy, SystemEval, REFINE_MAX_ITERS,
+    REFINE_TOL,
+};
 use pieri_linalg::{det_generic, CMat};
 use pieri_num::{Complex64, DdComplex, Scalar};
 use pieri_tracker::TrackWorkspace;
@@ -96,18 +99,19 @@ impl<S: Scalar> SystemEval<S> for TargetConditions {
     }
 }
 
-/// Certifies (and, per policy, double-double-refines **in place**) a set
-/// of root-pattern solution vectors of `problem`.
+/// Certifies and double-double-refines **in place** a set of
+/// root-pattern solution vectors of `problem`, when `policy.certify` is
+/// set.
 ///
-/// Returns one [`Certificate`] per vector, in order. With
-/// `policy.certify == false && policy.refine == false` this is a no-op
-/// returning an empty vector, and the coefficients are untouched.
+/// Returns one [`Certificate`] per vector, in order. Under
+/// [`CertifyPolicy::off`] this is a no-op returning an empty vector, and
+/// the coefficients are untouched.
 pub fn certify_solution_set(
     problem: &PieriProblem,
     coeffs: &mut [Vec<Complex64>],
     policy: &CertifyPolicy,
 ) -> Vec<Certificate> {
-    if !policy.certify && !policy.refine {
+    if !policy.certify {
         return Vec::new();
     }
     // The n fixed target conditions: the fused kernels supply residual
@@ -119,14 +123,14 @@ pub fn certify_solution_set(
         .iter_mut()
         .map(|x| {
             let mut cert = certify_endpoint(&h, x, 1.0, &mut ws);
-            if policy.refine && !cert.is_failed() {
+            if !cert.is_failed() {
                 let out = refine_endpoint::<DdComplex, _, _>(
                     &h,
                     &sys,
                     1.0,
                     x,
-                    policy.refine_tol,
-                    policy.refine_max_iters,
+                    REFINE_TOL,
+                    REFINE_MAX_ITERS,
                     &mut ws,
                 );
                 cert.record_refinement(&out);

@@ -60,9 +60,9 @@ pub struct InstanceContinuation {
 /// produced by [`crate::solve`] on `start` (or a [`crate::StartBundle`]'s
 /// [`coeffs`](crate::StartBundle::coeffs)).
 ///
-/// `policy` governs the shipped endpoints: failed paths are re-tracked
-/// per `policy.retrack`, converged endpoints are certified against the
-/// target conditions and (per policy) double-double-refined in place,
+/// `policy` governs the shipped endpoints: under [`CertifyPolicy::full`]
+/// failed paths are re-tracked, and converged endpoints are certified
+/// against the target conditions and double-double-refined in place,
 /// with one [`Certificate`] per shipped solution.
 /// [`CertifyPolicy::off`] is the plain uncertified continuation.
 pub fn continue_to_instance(

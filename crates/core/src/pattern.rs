@@ -195,11 +195,6 @@ impl Pattern {
             .sum()
     }
 
-    /// True for the trivial pattern.
-    pub fn is_trivial(&self) -> bool {
-        self.rank() == 0
-    }
-
     /// Degree of column `j` (0-indexed): the block of the concatenated
     /// matrix holding its bottom pivot.
     pub fn col_degree(&self, j: usize) -> usize {

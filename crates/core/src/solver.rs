@@ -180,7 +180,7 @@ pub fn solve_prepared(
     }
 }
 
-/// Certifies (and per policy refines) the root solutions of an
+/// Certifies and refines (per policy) the root solutions of an
 /// already-computed [`PieriSolution`] in place — the one certification
 /// entry point, whichever schedule produced the solve (every driver
 /// ships the same root coefficient vectors). Track with
@@ -188,7 +188,7 @@ pub fn solve_prepared(
 /// re-tracked per the policy.
 pub fn certify_roots(problem: &PieriProblem, solution: &mut PieriSolution, policy: &CertifyPolicy) {
     solution.certificates = certify_solution_set(problem, &mut solution.coeffs, policy);
-    if policy.refine {
+    if policy.certify {
         let root = problem.shape().root();
         solution.maps = solution
             .coeffs

@@ -65,10 +65,10 @@ pub struct TreeRunStats {
     pub reactivations: usize,
 }
 
-/// [`solve_tree_parallel_prepared`] with a [`CertifyPolicy`] knob: every
-/// tracking job re-tracks failed paths per `policy.retrack` (each slave
-/// inherits it through its `TrackSettings`), and the root solutions —
-/// the ones the solve ships — are certified and (per policy)
+/// [`solve_tree_parallel_prepared`] with a [`CertifyPolicy`] knob: under
+/// [`CertifyPolicy::full`] every tracking job re-tracks failed paths
+/// (each slave inherits it through its `TrackSettings`), and the root
+/// solutions — the ones the solve ships — are certified and
 /// double-double-refined afterwards via [`pieri_core::certify_roots`].
 /// The certification pass is sequential: `d(m,p,q)` root polishes are
 /// trivial next to the tree they conclude.

@@ -25,6 +25,7 @@
 use crate::job::JobError;
 use crate::store::BundleStore;
 use crate::sync::{rank, RankedMutex};
+use pieri_certify::CertifyPolicy;
 use pieri_core::{Shape, StartBundle};
 use pieri_num::seeded_rng;
 use pieri_parallel::solve_tree_parallel_prepared;
@@ -130,7 +131,6 @@ pub struct ShapeCache {
     /// deterministic function of `(bundle_seed, shape)`, independent of
     /// request order.
     bundle_seed: u64,
-    settings: TrackSettings,
     /// Optional on-disk persistence: successful builds are saved
     /// best-effort, [`ShapeCache::with_store`] preloads at startup.
     store: Option<BundleStore>,
@@ -139,12 +139,12 @@ pub struct ShapeCache {
 
 impl ShapeCache {
     /// Creates an empty cache with the default [`CacheLimits`].
-    pub fn new(bundle_seed: u64, settings: TrackSettings) -> Self {
-        ShapeCache::with_limits(bundle_seed, settings, CacheLimits::default())
+    pub fn new(bundle_seed: u64) -> Self {
+        ShapeCache::with_limits(bundle_seed, CacheLimits::default())
     }
 
     /// Creates an empty cache with explicit residency limits.
-    pub fn with_limits(bundle_seed: u64, settings: TrackSettings, limits: CacheLimits) -> Self {
+    pub fn with_limits(bundle_seed: u64, limits: CacheLimits) -> Self {
         assert!(limits.max_shapes >= 1, "cache must hold at least one shape");
         ShapeCache {
             slots: RankedMutex::new("cache-slots", rank::CACHE_SLOTS, HashMap::new()),
@@ -154,7 +154,6 @@ impl ShapeCache {
             clock: AtomicU64::new(0),
             limits,
             bundle_seed,
-            settings,
             store: None,
             restored: Counter::new(),
         }
@@ -288,9 +287,16 @@ impl ShapeCache {
     /// one virtual slave per pool thread. Panics inside the solver are
     /// contained here (the build runs caller-side, possibly on an engine
     /// worker thread).
+    ///
+    /// The build tracks with the settings of [`CertifyPolicy::full`], so
+    /// failed tree paths are re-tracked: a failed path inside a shape
+    /// build is a server-side defect, and a bounded tightened retry is
+    /// strictly better than losing a root (which fails the whole build).
+    /// Determinism holds — retries only fire on paths that would
+    /// otherwise fail.
     fn build(&self, shape: &Shape, seed: u64) -> Result<StartBundle, JobError> {
         let shape = shape.clone();
-        let settings = self.settings;
+        let settings = CertifyPolicy::full().effective_settings(&TrackSettings::default());
         catch_unwind(AssertUnwindSafe(move || {
             let t0 = Instant::now();
             let poset = pieri_core::Poset::build(&shape);
@@ -442,7 +448,7 @@ mod tests {
     use super::*;
 
     fn cache() -> ShapeCache {
-        ShapeCache::new(0x5eed, TrackSettings::default())
+        ShapeCache::new(0x5eed)
     }
 
     #[test]
@@ -494,7 +500,7 @@ mod tests {
 
     #[test]
     fn tree_parallel_build_matches_root_count() {
-        let c = ShapeCache::new(0x5eed, TrackSettings::default());
+        let c = ShapeCache::new(0x5eed);
         let (bundle, hit) = c.get_or_build(&Shape::new(2, 2, 1)).unwrap();
         assert!(!hit);
         assert_eq!(bundle.root_count(), 8);
@@ -504,7 +510,6 @@ mod tests {
     fn lru_eviction_by_shape_count() {
         let c = ShapeCache::with_limits(
             0x5eed,
-            TrackSettings::default(),
             CacheLimits {
                 max_shapes: 2,
                 max_bytes: usize::MAX,
@@ -536,7 +541,6 @@ mod tests {
         // previous resident, but the newcomer itself always stays.
         let c = ShapeCache::with_limits(
             0x5eed,
-            TrackSettings::default(),
             CacheLimits {
                 max_shapes: 8,
                 max_bytes: 1,
@@ -558,14 +562,14 @@ mod tests {
         let shape = Shape::new(2, 2, 0);
 
         // First "process": cold build, persisted on the way out.
-        let first = ShapeCache::new(0x5eed, TrackSettings::default()).with_store(Some(&dir));
+        let first = ShapeCache::new(0x5eed).with_store(Some(&dir));
         assert_eq!(first.stats().restored, 0, "nothing on disk yet");
         let (cold, hit) = first.get_or_build(&shape).unwrap();
         assert!(!hit);
 
         // Second "process": the bundle preloads at construction and the
         // first request is a hit with bitwise-identical coefficients.
-        let second = ShapeCache::new(0x5eed, TrackSettings::default()).with_store(Some(&dir));
+        let second = ShapeCache::new(0x5eed).with_store(Some(&dir));
         let stats = second.stats();
         assert_eq!((stats.restored, stats.shapes), (1, 1), "warm restart");
         let (warm, hit) = second.get_or_build(&shape).unwrap();
@@ -580,7 +584,7 @@ mod tests {
             .unwrap()
             .path();
         std::fs::write(&file, "torn").unwrap();
-        let third = ShapeCache::new(0x5eed, TrackSettings::default()).with_store(Some(&dir));
+        let third = ShapeCache::new(0x5eed).with_store(Some(&dir));
         assert_eq!(third.stats().restored, 0, "corrupt store restores nothing");
         let (rebuilt, hit) = third.get_or_build(&shape).unwrap();
         assert!(!hit, "cold rebuild, not an error");
@@ -588,7 +592,7 @@ mod tests {
 
         // A mismatched bundle seed fails the residual validation and
         // likewise degrades to a rebuild (no restore, no error).
-        let fourth = ShapeCache::new(0xbad_5eed, TrackSettings::default()).with_store(Some(&dir));
+        let fourth = ShapeCache::new(0xbad_5eed).with_store(Some(&dir));
         assert_eq!(fourth.stats().restored, 0, "foreign-seed store rejected");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -9,7 +9,7 @@
 //! pops the job, resolves the shape through the [`ShapeCache`] — a miss
 //! runs the Pieri tree on the pool, a hit costs nothing — and tracks the
 //! `d(m,p,q)` continuation paths to the request's data with one
-//! `continue_to_instance` call (certifying per [`EngineConfig::certify`]
+//! `continue_to_instance` call (certifying under [`CertifyPolicy::full`]
 //! when the request asks for it).
 //! Shutdown is graceful: intake closes immediately, queued and in-flight
 //! jobs finish, workers exit, and every late submitter gets
@@ -60,16 +60,10 @@ pub struct EngineConfig {
     pub queue_capacity: usize,
     /// Seed stream for the cache's generic start instances.
     pub bundle_seed: u64,
-    /// Tracker settings used for bundle builds and continuations.
-    pub settings: TrackSettings,
     /// Admission limits.
     pub limits: JobLimits,
     /// Residency limits of the shape cache (LRU eviction beyond them).
     pub cache_limits: CacheLimits,
-    /// Policy applied to jobs that request certification (the wire's
-    /// `certify: true` flag). Jobs without the flag run exactly as
-    /// before, whatever this is set to.
-    pub certify: CertifyPolicy,
     /// Directory of the on-disk [`crate::store::BundleStore`]. When set,
     /// bundles persisted by earlier runs are loaded at startup (a
     /// restarted server answers its first request warm) and every
@@ -87,10 +81,8 @@ impl Default for EngineConfig {
             workers: rayon::current_num_threads().max(1),
             queue_capacity: 64,
             bundle_seed: 0x5eed_cafe,
-            settings: TrackSettings::default(),
             limits: JobLimits::default(),
             cache_limits: CacheLimits::default(),
-            certify: CertifyPolicy::full(),
             bundle_store: None,
             supervisor: SupervisorConfig::default(),
         }
@@ -252,7 +244,6 @@ struct Shared {
     space: Condvar,
     cache: ShapeCache,
     limits: JobLimits,
-    settings: TrackSettings,
     capacity: usize,
     /// The single source of truth behind `/v1/stats` and `/v1/metrics`:
     /// every engine counter above lives here, the shape cache's
@@ -262,7 +253,6 @@ struct Shared {
     metrics: EngineMetrics,
     /// Engine start time (`/v1/stats` reports `uptime_secs` from it).
     started: Instant,
-    certify_policy: CertifyPolicy,
     /// Per-worker supervision slots; indexed by worker id.
     slots: RankedMutex<Vec<WorkerSlot>>,
     /// Dead-worker notifications and the supervisor stop flag.
@@ -366,18 +356,8 @@ impl Engine {
         }
         let registry = Arc::new(Registry::new());
         let metrics = EngineMetrics::register_all(&registry);
-        // Bundle builds inherit the re-track policy: a failed tree
-        // path inside a shape build is a server-side defect, and a
-        // bounded tightened retry is strictly better than losing a
-        // root (which fails the whole build). Determinism holds —
-        // retries only fire on paths that would otherwise fail, and
-        // a disabled policy leaves the operator's settings alone.
-        let cache = ShapeCache::with_limits(
-            config.bundle_seed,
-            config.certify.effective_settings(&config.settings),
-            config.cache_limits,
-        )
-        .with_store(config.bundle_store.as_deref());
+        let cache = ShapeCache::with_limits(config.bundle_seed, config.cache_limits)
+            .with_store(config.bundle_store.as_deref());
         cache.register_metrics(&registry);
         let shared = Arc::new(Shared {
             state: RankedMutex::new(
@@ -392,12 +372,10 @@ impl Engine {
             space: Condvar::new(),
             cache,
             limits: config.limits,
-            settings: config.settings,
             capacity: config.queue_capacity,
             registry,
             metrics,
             started: Instant::now(),
-            certify_policy: config.certify,
             slots: RankedMutex::new(
                 "engine-workers",
                 rank::ENGINE_WORKERS,
@@ -448,11 +426,6 @@ impl Engine {
             workers: config.workers,
             handles: RankedMutex::new("engine-handles", rank::ENGINE_HANDLES, vec![supervisor]),
         }
-    }
-
-    /// Starts with the default configuration.
-    pub fn with_defaults() -> Engine {
-        Engine::start(EngineConfig::default())
     }
 
     /// Completion-callback admission for the reactor: never blocks, and
@@ -1050,13 +1023,12 @@ fn run_job(shared: &Shared, req: &JobRequest, queue_wait: Duration) -> Result<Jo
         bundle.build_time()
     };
     let certify = req.certify();
-    // Jobs without the flag run uncertified whatever the engine's
-    // configured policy is.
     let policy = if certify {
-        shared.certify_policy
+        CertifyPolicy::full()
     } else {
         CertifyPolicy::off()
     };
+    let settings = TrackSettings::default();
     let t0 = Instant::now();
 
     let mut result = match req {
@@ -1067,7 +1039,7 @@ fn run_job(shared: &Shared, req: &JobRequest, queue_wait: Duration) -> Result<Jo
                 bundle.problem(),
                 bundle.coeffs(),
                 &target,
-                &shared.settings,
+                &settings,
                 &policy,
             );
             reject_cancelled(&cont)?;
@@ -1104,13 +1076,7 @@ fn run_job(shared: &Shared, req: &JobRequest, queue_wait: Duration) -> Result<Jo
             let ss = StateSpace::new(a.clone(), b.clone(), c.clone());
             let mut rng = seeded_rng(*seed);
             let (comps, cont, _) = solve_dynamic_state_space_certified(
-                &ss,
-                *q,
-                poles,
-                &mut rng,
-                &bundle,
-                &shared.settings,
-                &policy,
+                &ss, *q, poles, &mut rng, &bundle, &settings, &policy,
             );
             reject_cancelled(&cont)?;
             if certify {

@@ -373,7 +373,6 @@ impl Reactor {
     // lint:nonblocking — the poll loop; epoll_wait with a timeout is the only place it waits
     pub(crate) fn run(mut self) {
         let mut events = Events::with_capacity(512);
-        // lint:allow(no-blocking-in-nonblocking) — AtomicBool::load; the name-keyed call graph resolves `load` to the store's file loader
         while !self.stop.load(Ordering::SeqCst) {
             // lint:allow(no-blocking-in-nonblocking) — epoll_wait with a bounded timeout; the chaos-feature hook inside takes one bounded registry lock
             let Ok(ready) = self.poll.poll(&mut events, Some(POLL_TICK)) else {
@@ -384,7 +383,6 @@ impl Reactor {
             if ready > 0 {
                 pieri_trace::event("poll.wake", "io");
             }
-            // lint:allow(no-blocking-in-nonblocking) — AtomicBool::load; the name-keyed call graph resolves `load` to the store's file loader
             if !self.drain_started && self.draining.load(Ordering::SeqCst) {
                 // lint:allow(no-blocking-in-nonblocking) — drops the listener and flags connections; pump is the usual nonblocking path
                 self.begin_drain();
@@ -495,7 +493,6 @@ impl Reactor {
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
             return;
         }
-        // lint:allow(no-blocking-in-nonblocking) — AtomicUsize::load; the name-keyed call graph resolves `load` to the store's file loader
         let live = self.conn_total.load(Ordering::SeqCst);
         let over = live >= http::MAX_CONNECTIONS;
         if live >= http::MAX_CONNECTIONS + OVERLOAD_HEADROOM {

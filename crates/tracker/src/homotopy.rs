@@ -72,10 +72,10 @@ pub trait Homotopy: Sync {
     /// `t = 1`, as the paths of a generic Pieri homotopy do
     /// (Huber–Sottile–Sturmfels). The tracker then runs no geometric
     /// endgame and never reports [`crate::PathStatus::Diverged`]: a
-    /// corrected point beyond `divergence_threshold` is a path jump and
-    /// rejects the step, and a path that still cannot finish ends
-    /// [`crate::PathStatus::Failed`], which [`crate::RetrackPolicy`]
-    /// retries.
+    /// corrected point beyond the divergence threshold is a path jump
+    /// and rejects the step, and a path that still cannot finish ends
+    /// [`crate::PathStatus::Failed`], which re-tracking
+    /// ([`crate::TrackSettings::retrack`]) retries.
     ///
     /// The default is `false`: homotopies whose paths may diverge or end
     /// singular (the `systems` experiments, continuation to application

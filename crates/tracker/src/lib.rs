@@ -14,7 +14,15 @@
 //!   predictors;
 //! * [`track_path`] — the adaptive step-size driver producing a
 //!   [`PathResult`] (converged / diverged-to-infinity / failed), plus
-//!   [`track_all`] and [`TrackStats`] for whole-system runs.
+//!   [`track_all`] and [`TrackStats`] for whole-system runs;
+//! * [`TrackSettings`] — the two choices a caller makes: the predictor,
+//!   and whether a failed path is re-tracked. Every other continuation
+//!   parameter (step lengths and budgets, tolerances, the divergence
+//!   threshold, the endgame radius) is a fixed constant of the tracker,
+//!   as in the paper's PHCpack runs. Re-tracking follows one fixed
+//!   schedule: at most two retries from the start solution, retry `k`
+//!   with steps ×0.25^k, step budget ×2^k and `k` more corrector
+//!   iterations.
 //!
 //! * [`cancel`] — cooperative cancellation tokens with deadlines,
 //!   consulted by continuation drivers at path boundaries.
@@ -49,6 +57,6 @@ pub use homotopy::{Homotopy, LinearHomotopy};
 pub use newton::{newton_correct, newton_correct_with, NewtonOutcome};
 pub use path::{track_all, track_path, track_path_with, PathResult, PathStatus};
 pub use predictor::{tangent, tangent_into, Predictor};
-pub use settings::{RetrackPolicy, TrackSettings};
+pub use settings::TrackSettings;
 pub use stats::TrackStats;
 pub use workspace::{HomotopyScratch, TrackWorkspace};

@@ -6,7 +6,10 @@
 
 use crate::homotopy::Homotopy;
 use crate::newton::newton_correct_with;
-use crate::settings::TrackSettings;
+use crate::settings::{
+    StepControl, TrackSettings, CORRECTOR_TOL, DIVERGENCE_THRESHOLD, ENDGAME_RADIUS, ENDGAME_TOL,
+    EXPAND_FACTOR, FINAL_ITERS, FINAL_TOL, RETRIES, SHRINK_FACTOR,
+};
 use crate::stats::TrackStats;
 use crate::workspace::TrackWorkspace;
 use pieri_linalg::inf_norm;
@@ -67,8 +70,8 @@ pub struct PathResult {
     /// Total Newton iterations spent.
     pub newton_iters: usize,
     /// Tracking attempts this result accounts for: 1 when the first
-    /// attempt settled the path, more when the re-track policy
-    /// ([`crate::RetrackPolicy`]) re-ran it with tightened settings.
+    /// attempt settled the path, more when re-tracking
+    /// ([`TrackSettings::retrack`]) re-ran it with tightened step control.
     /// `steps`, `rejections`, `newton_iters` and `elapsed` accumulate
     /// over **all** attempts, so recording this result once accounts for
     /// the path's full cost.
@@ -125,10 +128,10 @@ struct Progress {
 /// ([`Homotopy::regular_endpoints`], the Pieri homotopies) skips the
 /// endgame, which took about half the steps of a Pieri path: the
 /// adaptive phase runs to `t = 1` and the same final polish follows.
-/// Such a path is never declared diverged. A corrected point beyond
-/// `divergence_threshold` rejects the step as a jump onto another path,
-/// and a path the step control cannot finish ends [`PathStatus::Failed`],
-/// which the re-track policy retries.
+/// Such a path is never declared diverged. A corrected point beyond the
+/// divergence threshold (`‖x‖∞ > 1e8`) rejects the step as a jump onto
+/// another path, and a path the step control cannot finish ends
+/// [`PathStatus::Failed`], which re-tracking retries.
 pub fn track_path<H: Homotopy + ?Sized>(
     h: &H,
     x0: &[Complex64],
@@ -147,25 +150,44 @@ pub fn track_path<H: Homotopy + ?Sized>(
 /// workers of `pieri-parallel` hold one workspace each; sequential
 /// drivers thread a single workspace through every path of a solve.
 ///
-/// When `settings.retrack` is enabled, a [`PathStatus::Failed`] attempt
-/// is re-run from `x0` with tightened step control (bounded by the
-/// policy); the returned result is the **final** attempt with the cost
-/// of every attempt accumulated and [`PathResult::attempts`] counting
-/// them — one result per logical path, however many attempts ran.
+/// When `settings.retrack` is on, a [`PathStatus::Failed`] attempt is
+/// re-run from `x0` with tightened step control, at most twice; the
+/// returned result is the **final** attempt with the cost of every
+/// attempt accumulated and [`PathResult::attempts`] counting them — one
+/// result per logical path, however many attempts ran.
 pub fn track_path_with<H: Homotopy + ?Sized>(
     h: &H,
     x0: &[Complex64],
     settings: &TrackSettings,
     ws: &mut TrackWorkspace,
 ) -> PathResult {
-    let mut result = track_path_attempt(h, x0, settings, ws);
-    let policy = settings.retrack;
-    let mut attempt = 0usize;
-    while attempt < policy.max_retries && matches!(result.status, PathStatus::Failed { .. }) {
-        attempt += 1;
-        let tightened = policy.tightened(settings, attempt);
+    let retries = if settings.retrack { RETRIES } else { 0 };
+    let predictor = settings.predictor;
+    track_attempts(
+        h,
+        x0,
+        &StepControl::attempt(predictor, 0),
+        (1..=retries).map(|k| StepControl::attempt(predictor, k)),
+        ws,
+    )
+}
+
+/// Tracks `x0` under `first`, then again under each of `retries` in
+/// turn while the attempts end [`PathStatus::Failed`].
+fn track_attempts<H: Homotopy + ?Sized>(
+    h: &H,
+    x0: &[Complex64],
+    first: &StepControl,
+    retries: impl Iterator<Item = StepControl>,
+    ws: &mut TrackWorkspace,
+) -> PathResult {
+    let mut result = track_path_attempt(h, x0, first, ws);
+    for control in retries {
+        if !matches!(result.status, PathStatus::Failed { .. }) {
+            break;
+        }
         let _span = crate::trace::phase_span("retrack");
-        let mut retry = track_path_attempt(h, x0, &tightened, ws);
+        let mut retry = track_path_attempt(h, x0, &control, ws);
         // Fold the earlier attempts' cost into the surviving result so
         // TrackStats::record sees this path exactly once.
         retry.steps += result.steps;
@@ -182,7 +204,7 @@ pub fn track_path_with<H: Homotopy + ?Sized>(
 fn track_path_attempt<H: Homotopy + ?Sized>(
     h: &H,
     x0: &[Complex64],
-    settings: &TrackSettings,
+    control: &StepControl,
     ws: &mut TrackWorkspace,
 ) -> PathResult {
     let start_time = Instant::now();
@@ -211,7 +233,7 @@ fn track_path_attempt<H: Homotopy + ?Sized>(
 
     let (status, residual) = drive(
         h,
-        settings,
+        control,
         ws,
         &mut p,
         &mut predicted,
@@ -245,51 +267,46 @@ fn track_path_attempt<H: Homotopy + ?Sized>(
 /// return funnels through the single buffer-restoring exit above.
 fn drive<H: Homotopy + ?Sized>(
     h: &H,
-    settings: &TrackSettings,
+    control: &StepControl,
     ws: &mut TrackWorkspace,
     p: &mut Progress,
     predicted: &mut Vec<Complex64>,
     x_before: &mut Vec<Complex64>,
     endgame_norms: &mut Vec<f64>,
 ) -> (PathStatus, f64) {
-    let mut dt = settings.initial_step;
+    let mut dt = control.initial_step;
     let mut streak = 0usize;
     // Paths with regular endpoints run the adaptive phase to t = 1; the
     // endgame loop below then exits at once.
     let regular = h.regular_endpoints();
-    let endgame_start = if regular {
-        1.0
-    } else {
-        1.0 - settings.endgame_radius.clamp(0.0, 0.5)
-    };
+    let endgame_start = if regular { 1.0 } else { 1.0 - ENDGAME_RADIUS };
 
     // Main adaptive phase: up to the endgame boundary.
     while p.t < endgame_start {
-        if p.steps + p.rejections > settings.max_steps {
+        if p.steps + p.rejections > control.max_steps {
             return (PathStatus::Failed { at_t: p.t }, h.residual(&p.x, p.t));
         }
         let step = dt.min(endgame_start - p.t);
-        match try_step(h, p, predicted, step, settings, ws) {
+        match try_step(h, p, predicted, step, control, ws) {
             StepOutcome::Accepted => {
                 streak += 1;
-                if streak >= settings.expand_after {
-                    dt = (dt * settings.expand_factor).min(settings.max_step);
+                if streak >= control.expand_after {
+                    dt = (dt * EXPAND_FACTOR).min(control.max_step);
                     streak = 0;
                 }
-                if inf_norm(&p.x) > settings.divergence_threshold {
+                if inf_norm(&p.x) > DIVERGENCE_THRESHOLD {
                     return (PathStatus::Diverged { at_t: p.t }, h.residual(&p.x, p.t));
                 }
             }
             StepOutcome::Rejected => {
                 streak = 0;
-                dt *= settings.shrink_factor;
-                if dt < settings.min_step {
-                    let status =
-                        if !regular && inf_norm(&p.x) > settings.divergence_threshold.sqrt() {
-                            PathStatus::Diverged { at_t: p.t }
-                        } else {
-                            PathStatus::Failed { at_t: p.t }
-                        };
+                dt *= SHRINK_FACTOR;
+                if dt < control.min_step {
+                    let status = if !regular && inf_norm(&p.x) > DIVERGENCE_THRESHOLD.sqrt() {
+                        PathStatus::Diverged { at_t: p.t }
+                    } else {
+                        PathStatus::Failed { at_t: p.t }
+                    };
                     return (status, h.residual(&p.x, p.t));
                 }
             }
@@ -313,7 +330,7 @@ fn drive<H: Homotopy + ?Sized>(
     let mut run_diff = f64::NAN;
     let mut analytic_ratios = 0usize;
     loop {
-        if p.steps + p.rejections > settings.max_steps {
+        if p.steps + p.rejections > control.max_steps {
             return (PathStatus::Failed { at_t: p.t }, h.residual(&p.x, p.t));
         }
         let remaining = 1.0 - p.t;
@@ -326,13 +343,13 @@ fn drive<H: Homotopy + ?Sized>(
         }
         x_before.clear();
         x_before.extend_from_slice(&p.x);
-        match try_step(h, p, predicted, step, settings, ws) {
+        match try_step(h, p, predicted, step, control, ws) {
             StepOutcome::Accepted => {
                 let pure = endgame_fail_shrink == 1.0;
                 endgame_fail_shrink = 1.0;
                 let norm = inf_norm(&p.x);
                 endgame_norms.push(norm);
-                if norm > settings.divergence_threshold {
+                if norm > DIVERGENCE_THRESHOLD {
                     return (PathStatus::Diverged { at_t: p.t }, h.residual(&p.x, p.t));
                 }
                 // Cauchy test: iterates have stopped moving.
@@ -341,7 +358,7 @@ fn drive<H: Homotopy + ?Sized>(
                         .zip(x_before.iter())
                         .map(|(a, b)| (*a - *b).norm())
                         .fold(0.0, f64::max);
-                if diff <= settings.endgame_tol * (1.0 + norm) {
+                if diff <= ENDGAME_TOL * (1.0 + norm) {
                     break;
                 }
                 if pure {
@@ -353,7 +370,7 @@ fn drive<H: Homotopy + ?Sized>(
                     run_diff = diff;
                     if analytic_ratios >= 2 {
                         if let Some(residual) =
-                            try_exit(h, p, predicted, x_before, diff, settings, ws)
+                            try_exit(h, p, predicted, x_before, diff, control, ws)
                         {
                             return (PathStatus::Converged, residual);
                         }
@@ -364,8 +381,8 @@ fn drive<H: Homotopy + ?Sized>(
             StepOutcome::Rejected => {
                 run_diff = f64::NAN;
                 analytic_ratios = 0;
-                endgame_fail_shrink *= settings.shrink_factor;
-                if endgame_fail_shrink * remaining < settings.min_step {
+                endgame_fail_shrink *= SHRINK_FACTOR;
+                if endgame_fail_shrink * remaining < control.min_step {
                     break;
                 }
             }
@@ -377,14 +394,7 @@ fn drive<H: Homotopy + ?Sized>(
     predicted.clear();
     predicted.extend_from_slice(&p.x);
     let entry_norm = inf_norm(predicted);
-    let out = newton_correct_with(
-        h,
-        &mut p.x,
-        1.0,
-        settings.final_tol,
-        settings.final_iters,
-        ws,
-    );
+    let out = newton_correct_with(h, &mut p.x, 1.0, FINAL_TOL, FINAL_ITERS, ws);
     p.newton_total += out.iters;
     let residual = endpoint_residual(h, &p.x, ws);
     // Reject a refinement that jumped far away from the tracked limit:
@@ -403,10 +413,10 @@ fn drive<H: Homotopy + ?Sized>(
         let first = endgame_norms[endgame_norms.len() - window].max(f64::MIN_POSITIVE);
         entry_norm / first >= 3.0 && entry_norm > 10.0
     };
-    let status = if out.converged && !snapped && inf_norm(&p.x) <= settings.divergence_threshold {
+    let status = if out.converged && !snapped && inf_norm(&p.x) <= DIVERGENCE_THRESHOLD {
         PathStatus::Converged
     } else if !regular
-        && (entry_norm > settings.divergence_threshold.sqrt()
+        && (entry_norm > DIVERGENCE_THRESHOLD.sqrt()
             || slow_divergence
             || snapped && entry_norm > 1e3)
     {
@@ -421,7 +431,7 @@ fn drive<H: Homotopy + ?Sized>(
 /// iteration budget, from the first-order Richardson extrapolation
 /// `x̂ = 2·x − x_before` of the last two halving iterates, built in the
 /// `predicted` buffer. Accepted when Newton converges to a finite point
-/// within `diff` of `x̂` and inside `divergence_threshold`: the endpoint
+/// within `diff` of `x̂` and inside the divergence threshold: the endpoint
 /// then moves into `p.x` at `t = 1` and its residual is returned.
 /// Otherwise `p` keeps its iterate and only the iterations are billed.
 fn try_exit<H: Homotopy + ?Sized>(
@@ -430,19 +440,12 @@ fn try_exit<H: Homotopy + ?Sized>(
     predicted: &mut Vec<Complex64>,
     x_before: &[Complex64],
     diff: f64,
-    settings: &TrackSettings,
+    control: &StepControl,
     ws: &mut TrackWorkspace,
 ) -> Option<f64> {
     predicted.clear();
     predicted.extend(p.x.iter().zip(x_before).map(|(a, b)| *a + *a - *b));
-    let out = newton_correct_with(
-        h,
-        predicted,
-        1.0,
-        settings.final_tol,
-        settings.corrector_iters,
-        ws,
-    );
+    let out = newton_correct_with(h, predicted, 1.0, FINAL_TOL, control.corrector_iters, ws);
     p.newton_total += out.iters;
     // The distance from x̂, recomputed from x and x_before.
     let jump = predicted
@@ -453,7 +456,7 @@ fn try_exit<H: Homotopy + ?Sized>(
     let accepted = out.converged
         && predicted.iter().all(|z| z.is_finite())
         && jump <= diff
-        && inf_norm(predicted) <= settings.divergence_threshold;
+        && inf_norm(predicted) <= DIVERGENCE_THRESHOLD;
     if !accepted {
         return None;
     }
@@ -483,7 +486,7 @@ fn try_step<H: Homotopy + ?Sized>(
     p: &mut Progress,
     predicted: &mut Vec<Complex64>,
     step: f64,
-    settings: &TrackSettings,
+    control: &StepControl,
     ws: &mut TrackWorkspace,
 ) -> StepOutcome {
     let t_next = (p.t + step).min(1.0);
@@ -492,7 +495,7 @@ fn try_step<H: Homotopy + ?Sized>(
     let prev = p.has_prev.then_some((p.prev_x.as_slice(), p.prev_t));
     let ok = {
         let _span = crate::trace::step_span("predict");
-        settings
+        control
             .predictor
             .predict_into(h, &p.x, p.t, t_next - p.t, prev, predicted, ws)
     };
@@ -502,8 +505,8 @@ fn try_step<H: Homotopy + ?Sized>(
             h,
             predicted,
             t_next,
-            settings.corrector_tol,
-            settings.corrector_iters,
+            CORRECTOR_TOL,
+            control.corrector_iters,
             ws,
         );
         p.newton_total += out.iters;
@@ -511,7 +514,7 @@ fn try_step<H: Homotopy + ?Sized>(
             && predicted.iter().all(|z| z.is_finite())
             // With regular endpoints a huge corrected point is a jump
             // onto another path, not a divergence: retry shorter.
-            && !(h.regular_endpoints() && inf_norm(predicted) > settings.divergence_threshold);
+            && !(h.regular_endpoints() && inf_norm(predicted) > DIVERGENCE_THRESHOLD);
         if accepted {
             // prev ← x ← predicted, with the old prev buffer becoming
             // the next prediction scratch.
@@ -792,17 +795,26 @@ mod tests {
         }
     }
 
+    /// The schedule's first attempt with its step budget cut to `max_steps`.
+    fn starved(max_steps: usize) -> StepControl {
+        StepControl {
+            max_steps,
+            ..StepControl::attempt(Predictor::RungeKutta4, 0)
+        }
+    }
+
+    /// The schedule's retries, as re-tracking runs them.
+    fn retries() -> impl Iterator<Item = StepControl> {
+        (1..=RETRIES).map(|k| StepControl::attempt(Predictor::RungeKutta4, k))
+    }
+
     #[test]
     fn max_steps_guard_fails_gracefully() {
         let (g, starts) = unity_start(2);
         let f = univar(&[c(-4.0, 0.0), Complex64::ZERO, Complex64::ONE]);
         let mut rng = seeded_rng(104);
         let h = LinearHomotopy::new(g, f, random_gamma(&mut rng));
-        let settings = TrackSettings {
-            max_steps: 3,
-            ..TrackSettings::default()
-        };
-        let r = track_path(&h, &starts[0], &settings);
+        let r = track_path_attempt(&h, &starts[0], &starved(3), &mut TrackWorkspace::new());
         // With a 3-step budget the tracker cannot reach t=1 (max_step 0.1).
         assert!(
             matches!(r.status, PathStatus::Failed { .. }),
@@ -813,62 +825,48 @@ mod tests {
 
     #[test]
     fn retrack_policy_rescues_a_budget_starved_path() {
-        use crate::settings::RetrackPolicy;
         let (g, starts) = unity_start(2);
         let f = univar(&[c(-4.0, 0.0), Complex64::ZERO, Complex64::ONE]);
         let mut rng = seeded_rng(106);
         let h = LinearHomotopy::new(g, f, random_gamma(&mut rng));
-        // A 3-step budget fails (see max_steps_guard_fails_gracefully);
-        // the policy re-runs with an 8× larger budget per retry until the
+        // A 3-step first attempt fails (see max_steps_guard_fails_gracefully);
+        // the schedule's retries, with their own budgets, run until the
         // path converges.
-        let settings = TrackSettings {
-            max_steps: 3,
-            retrack: RetrackPolicy {
-                max_retries: 3,
-                step_scale: 1.0,
-                budget_scale: 8.0,
-            },
-            ..TrackSettings::default()
-        };
-        let r = track_path(&h, &starts[0], &settings);
+        let mut ws = TrackWorkspace::new();
+        let r = track_attempts(&h, &starts[0], &starved(3), retries(), &mut ws);
         assert!(r.status.is_converged(), "{:?}", r.status);
         assert!(r.attempts > 1, "the first attempt must have failed");
-        assert!(r.attempts <= 4, "bounded retries");
+        assert!(r.attempts <= 1 + RETRIES, "bounded retries");
         assert!((r.x[0].norm() - 2.0).abs() < 1e-8);
 
         // Stats see ONE logical path that was retracked.
-        let (results, stats) = track_all(&h, &starts[..1], &settings);
+        let stats = TrackStats::from_results(std::slice::from_ref(&r));
         assert_eq!(stats.total(), 1);
         assert_eq!(stats.converged, 1);
         assert_eq!(stats.retracked, 1);
-        assert_eq!(stats.retrack_attempts, results[0].attempts - 1);
-        assert_eq!(stats.total_steps, results[0].steps);
+        assert_eq!(stats.retrack_attempts, r.attempts - 1);
+        assert_eq!(stats.total_steps, r.steps);
     }
 
     #[test]
     fn retrack_exhaustion_stays_failed_and_bounded() {
-        use crate::settings::RetrackPolicy;
         let (g, starts) = unity_start(2);
         let f = univar(&[c(-4.0, 0.0), Complex64::ZERO, Complex64::ONE]);
         let mut rng = seeded_rng(107);
         let h = LinearHomotopy::new(g, f, random_gamma(&mut rng));
         // Budget so small that even the tightened retries cannot finish.
-        let settings = TrackSettings {
+        let exhausted = retries().map(|control| StepControl {
             max_steps: 1,
-            retrack: RetrackPolicy {
-                max_retries: 2,
-                step_scale: 0.5,
-                budget_scale: 1.0,
-            },
-            ..TrackSettings::default()
-        };
-        let r = track_path(&h, &starts[0], &settings);
+            ..control
+        });
+        let mut ws = TrackWorkspace::new();
+        let r = track_attempts(&h, &starts[0], &starved(1), exhausted, &mut ws);
         assert!(
             matches!(r.status, PathStatus::Failed { .. }),
             "{:?}",
             r.status
         );
-        assert_eq!(r.attempts, 3, "initial attempt + exactly max_retries");
+        assert_eq!(r.attempts, 1 + RETRIES, "initial attempt + exactly RETRIES");
     }
 
     #[test]
@@ -878,10 +876,11 @@ mod tests {
         let mut rng = seeded_rng(108);
         let h = LinearHomotopy::new(g, f, random_gamma(&mut rng));
         let settings = TrackSettings::default();
+        let first = StepControl::attempt(settings.predictor, 0);
         let mut ws = TrackWorkspace::new();
         for s in &starts {
             let a = track_path_with(&h, s, &settings, &mut ws);
-            let b = track_path_attempt(&h, s, &settings, &mut ws);
+            let b = track_path_attempt(&h, s, &first, &mut ws);
             assert_eq!(a.x, b.x, "retry wrapper must not perturb results");
             assert_eq!(a.steps, b.steps);
             assert_eq!(a.attempts, 1);

@@ -18,8 +18,8 @@ pub struct TrackStats {
     /// Paths that got numerically stuck.
     pub failed: usize,
     /// Paths that needed at least one re-track attempt (see
-    /// [`crate::RetrackPolicy`]); a subset of `total()`, whatever the
-    /// final status was.
+    /// [`crate::TrackSettings::retrack`]); a subset of `total()`,
+    /// whatever the final status was.
     pub retracked: usize,
     /// Tracking attempts beyond the first, summed over all paths.
     pub retrack_attempts: usize,

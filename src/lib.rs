@@ -13,7 +13,8 @@
 //! * [`schubert`] — localization patterns, posets, Pieri trees, the Pieri
 //!   homotopy and its solver (the paper's core contribution);
 //! * [`certify`] — a-posteriori certification: α-theory Newton
-//!   certificates, double-double endpoint refinement, re-track policies;
+//!   certificates, double-double endpoint refinement, the `off`/`full`
+//!   certification policy;
 //! * [`control`] — plants, pole placement, compensators, verification;
 //! * [`parallel`] — static/dynamic schedulers and the Fig. 6 tree master;
 //! * [`sim`] — the discrete-event cluster simulator behind the speedup
