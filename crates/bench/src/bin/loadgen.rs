@@ -42,9 +42,7 @@
 
 use pieri_control::{conjugate_pole_set, satellite_plant};
 use pieri_num::seeded_rng;
-use pieri_service::{
-    Client, Engine, EngineConfig, JobError, JobRequest, RetryPolicy, Server, ServerOptions,
-};
+use pieri_service::{Client, Engine, EngineConfig, JobError, JobRequest, Server, ServerOptions};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -105,9 +103,7 @@ fn restart_drill(clients: usize, duration: Duration) {
             // simulated clients of the restart drill; they only do
             // socket I/O and retry bookkeeping.
             std::thread::spawn(move || {
-                let client =
-                    Client::with_retry(addr, Duration::from_secs(30), RetryPolicy::attempts(6))
-                        .expect("drill client");
+                let client = Client::with_retry(addr, 6).expect("drill client");
                 let mut answers = Vec::new();
                 let mut shed = 0usize;
                 while !stop.load(Ordering::SeqCst) {

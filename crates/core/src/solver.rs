@@ -137,27 +137,17 @@ pub fn solve_prepared(
     for k in 1..=n {
         let mut next: HashMap<Vec<usize>, Vec<Vec<Complex64>>> = HashMap::new();
         for pattern in poset.level(k) {
-            let homotopy = PieriHomotopy::new(problem, pattern);
             let mut sols: Vec<Vec<Complex64>> = Vec::new();
             for child in pattern.children() {
                 let Some(child_sols) = prev.get(child.pivots()) else {
                     continue;
                 };
-                let child_layout = CoeffLayout::new(&child);
                 for y in child_sols {
-                    let x0 = homotopy.layout().embed_child(&child_layout, y);
-                    let result = track_path_with(&homotopy, &x0, settings, &mut ws);
-                    records.push(JobRecord {
-                        level: k,
-                        pattern: pattern.shorthand(),
-                        status: result.status,
-                        steps: result.steps,
-                        elapsed: result.elapsed,
-                    });
-                    if result.status.is_converged() {
-                        sols.push(result.x);
-                    } else {
-                        failures += 1;
+                    let (sol, record) = run_job(problem, pattern, &child, y, settings, &mut ws);
+                    records.push(record);
+                    match sol {
+                        Some(x) => sols.push(x),
+                        None => failures += 1,
                     }
                 }
             }
@@ -199,10 +189,11 @@ pub fn certify_roots(problem: &PieriProblem, solution: &mut PieriSolution, polic
 }
 
 /// Solves one job explicitly — one Pieri-tree edge — against a
-/// caller-owned [`TrackWorkspace`]: used by the parallel schedulers,
-/// which own the job ordering, each worker holding one workspace that is
-/// reused across every job it executes. Returns the converged
-/// coefficients, or `None`.
+/// caller-owned [`TrackWorkspace`]: every schedule runs its jobs through
+/// here ([`solve_prepared`] level by level, the parallel schedulers in
+/// their own order), each worker holding one workspace that is reused
+/// across every job it executes. Returns the converged coefficients, or
+/// `None`.
 pub fn run_job(
     problem: &PieriProblem,
     pattern: &Pattern,

@@ -16,11 +16,11 @@
 //! (the attempt number is mixed into the seed — a deterministic
 //! failure must not recur identically forever).
 //!
-//! Residency is bounded: the cache enforces [`CacheLimits`] (a shape
-//! count and an approximate byte budget, sized from
-//! [`StartBundle::approx_bytes`]) with least-recently-used eviction, so
-//! a stream of distinct large shapes cannot grow the server without
-//! bound. Evictions are counted and exposed through `/v1/stats`.
+//! Residency is bounded: the cache holds at most 32 shapes and about
+//! 64 MiB of bundles (sized from [`StartBundle::approx_bytes`]), with
+//! least-recently-used eviction, so a stream of distinct large shapes
+//! cannot grow the server without bound. Evictions are counted and
+//! exposed through `/v1/stats`.
 
 use crate::job::JobError;
 use crate::store::BundleStore;
@@ -33,31 +33,24 @@ use pieri_trace::Counter;
 use pieri_tracker::TrackSettings;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
-/// Residency bounds of the shape cache. Both limits apply; eviction is
-/// least-recently-used over *ready* bundles (in-flight builds are never
-/// evicted) and the most recently inserted bundle always survives, even
-/// when it alone exceeds the byte budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheLimits {
-    /// Maximum number of resident shapes.
-    pub max_shapes: usize,
-    /// Approximate byte budget across all resident bundles
-    /// ([`StartBundle::approx_bytes`]).
-    pub max_bytes: usize,
-}
-
-impl Default for CacheLimits {
-    fn default() -> Self {
-        CacheLimits {
-            max_shapes: 32,
-            max_bytes: 64 * 1024 * 1024,
-        }
-    }
-}
+/// Seed stream for bundle builds: the bundle for a shape is a
+/// deterministic function of `(BUNDLE_SEED, shape)`, independent of
+/// request order. Any generic start instance serves every target of its
+/// shape equally well, so one fixed seed is all the cache needs.
+const BUNDLE_SEED: u64 = 0x5eed_cafe;
+/// Maximum number of resident shapes. Both residency limits apply;
+/// eviction is least-recently-used over *ready* bundles (in-flight
+/// builds are never evicted) and the most recently inserted bundle
+/// always survives, even when it alone exceeds the byte budget.
+const MAX_SHAPES: usize = 32;
+/// Approximate byte budget across all resident bundles
+/// ([`StartBundle::approx_bytes`]).
+const MAX_BYTES: usize = 64 * 1024 * 1024;
 
 /// Shared per-shape slot.
 struct Slot {
@@ -66,7 +59,7 @@ struct Slot {
     /// LRU clock value of the slot's last hit (or build completion).
     last_used: AtomicU64,
     /// Build attempts so far; attempt 0 uses the pure
-    /// `(bundle_seed, shape)` seed, retries after a failure mix the
+    /// `(BUNDLE_SEED, shape)` seed, retries after a failure mix the
     /// attempt number in so a doomed generic instance is not redrawn.
     attempts: AtomicUsize,
 }
@@ -126,37 +119,69 @@ pub struct ShapeCache {
     evictions: Counter,
     /// Monotone LRU clock; slots stamp their `last_used` from it.
     clock: AtomicU64,
-    limits: CacheLimits,
-    /// Seed stream for bundle builds: the bundle for a shape is a
-    /// deterministic function of `(bundle_seed, shape)`, independent of
-    /// request order.
-    bundle_seed: u64,
+    /// Residency limits ([`MAX_SHAPES`], [`MAX_BYTES`] outside tests).
+    max_shapes: usize,
+    max_bytes: usize,
     /// Optional on-disk persistence: successful builds are saved
-    /// best-effort, [`ShapeCache::with_store`] preloads at startup.
+    /// best-effort, [`ShapeCache::new`] preloads at startup.
     store: Option<BundleStore>,
     restored: Counter,
 }
 
 impl ShapeCache {
-    /// Creates an empty cache with the default [`CacheLimits`].
-    pub fn new(bundle_seed: u64) -> Self {
-        ShapeCache::with_limits(bundle_seed, CacheLimits::default())
+    /// Creates the cache. With a `store_dir`, it attaches an on-disk
+    /// [`BundleStore`] there and eagerly restores every decodable bundle
+    /// it holds, so a restarted server answers its first request for a
+    /// known shape warm. Restoration is fully validated
+    /// ([`StartBundle::restore`] regenerates the poset and generic
+    /// instance from the persisted seed and residual-checks the
+    /// coefficients); any defect silently degrades to a cold rebuild.
+    /// `None` (or an unopenable directory) leaves the cache storeless.
+    pub fn new(store_dir: Option<&Path>) -> Self {
+        ShapeCache::with_limits(store_dir, MAX_SHAPES, MAX_BYTES)
     }
 
-    /// Creates an empty cache with explicit residency limits.
-    pub fn with_limits(bundle_seed: u64, limits: CacheLimits) -> Self {
-        assert!(limits.max_shapes >= 1, "cache must hold at least one shape");
-        ShapeCache {
+    fn with_limits(store_dir: Option<&Path>, max_shapes: usize, max_bytes: usize) -> Self {
+        let mut cache = ShapeCache {
             slots: RankedMutex::new("cache-slots", rank::CACHE_SLOTS, HashMap::new()),
             hits: Counter::new(),
             misses: Counter::new(),
             evictions: Counter::new(),
             clock: AtomicU64::new(0),
-            limits,
-            bundle_seed,
+            max_shapes,
+            max_bytes,
             store: None,
             restored: Counter::new(),
+        };
+        let Some(store) = store_dir.and_then(BundleStore::open) else {
+            return cache;
+        };
+        for (shape, stored) in store.load_all() {
+            // Only restore bundles this cache's own seed stream could
+            // have built (any plausible retry attempt): the resident
+            // set must stay a deterministic function of
+            // `(BUNDLE_SEED, shape)` even across a store written by a
+            // build with another seed.
+            if !(0..8).any(|attempt| stored.seed == seed_for(&shape, attempt)) {
+                continue;
+            }
+            let mut rng = seeded_rng(stored.seed);
+            let Ok(bundle) =
+                StartBundle::restore(shape.clone(), &mut rng, stored.coeffs, stored.build_time)
+            else {
+                continue;
+            };
+            let slot = Arc::new(Slot::default());
+            // lint:lock-rank(cache-slot, 30)
+            *slot.state.lock_recover() = SlotState::Ready(Arc::new(bundle));
+            cache.touch(&slot);
+            // lint:lock-rank(cache-slots, 20)
+            cache.slots.lock_recover().insert(shape.clone(), slot);
+            cache.restored.inc();
+            cache.evict_over_limit(&shape);
         }
+        cache.store = Some(store);
+        cache
     }
 
     /// Adopts this cache's counters into `registry` (as
@@ -170,45 +195,6 @@ impl ShapeCache {
         registry.adopt_counter("pieri_cache_misses_total", self.misses.clone());
         registry.adopt_counter("pieri_cache_evictions_total", self.evictions.clone());
         registry.adopt_counter("pieri_cache_restored_total", self.restored.clone());
-    }
-
-    /// Attaches an on-disk [`BundleStore`] and eagerly restores every
-    /// decodable bundle it holds, so a restarted server answers its
-    /// first request for a known shape warm. Restoration is fully
-    /// validated ([`StartBundle::restore`] regenerates the poset and
-    /// generic instance from the persisted seed and residual-checks the
-    /// coefficients); any defect silently degrades to a cold rebuild.
-    /// `None` (or an unopenable directory) leaves the cache storeless.
-    pub fn with_store(mut self, dir: Option<&std::path::Path>) -> Self {
-        let Some(store) = dir.and_then(BundleStore::open) else {
-            return self;
-        };
-        for (shape, stored) in store.load_all() {
-            // Only restore bundles this cache's own seed stream could
-            // have built (any plausible retry attempt): the resident
-            // set must stay a deterministic function of
-            // `(bundle_seed, shape)` even across a store written under
-            // a different server configuration.
-            if !(0..8).any(|attempt| stored.seed == self.seed_for(&shape, attempt)) {
-                continue;
-            }
-            let mut rng = seeded_rng(stored.seed);
-            let Ok(bundle) =
-                StartBundle::restore(shape.clone(), &mut rng, stored.coeffs, stored.build_time)
-            else {
-                continue;
-            };
-            let slot = Arc::new(Slot::default());
-            // lint:lock-rank(cache-slot, 30)
-            *slot.state.lock_recover() = SlotState::Ready(Arc::new(bundle));
-            self.touch(&slot);
-            // lint:lock-rank(cache-slots, 20)
-            self.slots.lock_recover().insert(shape.clone(), slot);
-            self.restored.inc();
-            self.evict_over_limit(&shape);
-        }
-        self.store = Some(store);
-        self
     }
 
     fn touch(&self, slot: &Slot) {
@@ -241,7 +227,7 @@ impl ShapeCache {
                     *state = SlotState::Building;
                     drop(state);
                     let attempt = slot.attempts.fetch_add(1, Ordering::Relaxed);
-                    let seed = self.seed_for(shape, attempt);
+                    let seed = seed_for(shape, attempt);
                     let built = self.build(shape, seed);
                     // lint:lock-rank(cache-slot, 30)
                     let mut state = slot.state.lock_recover();
@@ -271,15 +257,6 @@ impl ShapeCache {
                 }
             }
         }
-    }
-
-    /// The deterministic build seed for `shape` at build attempt
-    /// `attempt`. Attempt 0 seeds purely from `(bundle_seed, shape)`;
-    /// retries perturb the stream so a doomed generic instance is not
-    /// redrawn. The seed is what the on-disk store persists — replaying
-    /// it through `seeded_rng` regenerates the identical bundle.
-    fn seed_for(&self, shape: &Shape, attempt: usize) -> u64 {
-        self.bundle_seed ^ shape_tag(shape) ^ (attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 
     /// Builds a bundle outside any lock: one generic instance through
@@ -329,7 +306,7 @@ impl ShapeCache {
                 }
             }
             let total: usize = ready.iter().map(|(_, _, b)| *b).sum();
-            if ready.len() <= self.limits.max_shapes && total <= self.limits.max_bytes {
+            if ready.len() <= self.max_shapes && total <= self.max_bytes {
                 return;
             }
             let victim = ready
@@ -345,11 +322,6 @@ impl ShapeCache {
             slots.remove(&victim);
             self.evictions.inc();
         }
-    }
-
-    /// The configured residency limits.
-    pub fn limits(&self) -> CacheLimits {
-        self.limits
     }
 
     /// Counter snapshot. `shapes` counts only *resident* bundles — a
@@ -422,6 +394,15 @@ impl ShapeCache {
     }
 }
 
+/// The deterministic build seed for `shape` at build attempt `attempt`.
+/// Attempt 0 seeds purely from `(BUNDLE_SEED, shape)`; retries perturb
+/// the stream so a doomed generic instance is not redrawn. The seed is
+/// what the on-disk store persists — replaying it through `seeded_rng`
+/// regenerates the identical bundle.
+fn seed_for(shape: &Shape, attempt: usize) -> u64 {
+    BUNDLE_SEED ^ shape_tag(shape) ^ (attempt as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
 /// Mixes a shape into the bundle seed stream (FNV-1a over the dims).
 fn shape_tag(shape: &Shape) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -448,7 +429,7 @@ mod tests {
     use super::*;
 
     fn cache() -> ShapeCache {
-        ShapeCache::new(0x5eed)
+        ShapeCache::new(None)
     }
 
     #[test]
@@ -500,7 +481,7 @@ mod tests {
 
     #[test]
     fn tree_parallel_build_matches_root_count() {
-        let c = ShapeCache::new(0x5eed);
+        let c = cache();
         let (bundle, hit) = c.get_or_build(&Shape::new(2, 2, 1)).unwrap();
         assert!(!hit);
         assert_eq!(bundle.root_count(), 8);
@@ -508,13 +489,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_by_shape_count() {
-        let c = ShapeCache::with_limits(
-            0x5eed,
-            CacheLimits {
-                max_shapes: 2,
-                max_bytes: usize::MAX,
-            },
-        );
+        let c = ShapeCache::with_limits(None, 2, usize::MAX);
         let s220 = Shape::new(2, 2, 0);
         let s320 = Shape::new(3, 2, 0);
         let s210 = Shape::new(2, 1, 0);
@@ -539,13 +514,7 @@ mod tests {
     fn byte_budget_evicts_but_newcomer_survives() {
         // A budget below a single bundle: every insert evicts the
         // previous resident, but the newcomer itself always stays.
-        let c = ShapeCache::with_limits(
-            0x5eed,
-            CacheLimits {
-                max_shapes: 8,
-                max_bytes: 1,
-            },
-        );
+        let c = ShapeCache::with_limits(None, 8, 1);
         c.get_or_build(&Shape::new(2, 2, 0)).unwrap();
         assert_eq!(c.stats().shapes, 1, "over-budget newcomer survives");
         c.get_or_build(&Shape::new(3, 2, 0)).unwrap();
@@ -562,14 +531,14 @@ mod tests {
         let shape = Shape::new(2, 2, 0);
 
         // First "process": cold build, persisted on the way out.
-        let first = ShapeCache::new(0x5eed).with_store(Some(&dir));
+        let first = ShapeCache::new(Some(&dir));
         assert_eq!(first.stats().restored, 0, "nothing on disk yet");
         let (cold, hit) = first.get_or_build(&shape).unwrap();
         assert!(!hit);
 
         // Second "process": the bundle preloads at construction and the
         // first request is a hit with bitwise-identical coefficients.
-        let second = ShapeCache::new(0x5eed).with_store(Some(&dir));
+        let second = ShapeCache::new(Some(&dir));
         let stats = second.stats();
         assert_eq!((stats.restored, stats.shapes), (1, 1), "warm restart");
         let (warm, hit) = second.get_or_build(&shape).unwrap();
@@ -584,16 +553,21 @@ mod tests {
             .unwrap()
             .path();
         std::fs::write(&file, "torn").unwrap();
-        let third = ShapeCache::new(0x5eed).with_store(Some(&dir));
+        let third = ShapeCache::new(Some(&dir));
         assert_eq!(third.stats().restored, 0, "corrupt store restores nothing");
         let (rebuilt, hit) = third.get_or_build(&shape).unwrap();
         assert!(!hit, "cold rebuild, not an error");
         assert_eq!(rebuilt.coeffs(), cold.coeffs(), "same seed, same bundle");
 
-        // A mismatched bundle seed fails the residual validation and
-        // likewise degrades to a rebuild (no restore, no error).
-        let fourth = ShapeCache::new(0xbad_5eed).with_store(Some(&dir));
+        // A bundle saved under a seed this cache's stream never draws
+        // is not restored either: it degrades to a rebuild (no restore,
+        // no error).
+        let store = BundleStore::open(&dir).unwrap();
+        store.save(&shape, 0xbad_5eed, cold.coeffs(), cold.build_time());
+        let fourth = ShapeCache::new(Some(&dir));
         assert_eq!(fourth.stats().restored, 0, "foreign-seed store rejected");
+        let (_, hit) = fourth.get_or_build(&shape).unwrap();
+        assert!(!hit, "cold rebuild, not an error");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

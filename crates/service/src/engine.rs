@@ -32,8 +32,8 @@
 //! the slot — finishing worker or recovering supervisor — owns the
 //! completion, so no job is ever answered twice or dropped.
 
-use crate::cache::{panic_message, CacheLimits, CacheStats, ShapeCache};
-use crate::job::{CompensatorAnswer, JobError, JobLimits, JobRequest, JobResult};
+use crate::cache::{panic_message, CacheStats, ShapeCache};
+use crate::job::{CompensatorAnswer, JobError, JobRequest, JobResult};
 use crate::sync::{rank, RankedMutex};
 use crossbeam::channel;
 use pieri_certify::{Certificate, CertifyPolicy};
@@ -58,12 +58,6 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Bounded queue capacity (back-pressure beyond this).
     pub queue_capacity: usize,
-    /// Seed stream for the cache's generic start instances.
-    pub bundle_seed: u64,
-    /// Admission limits.
-    pub limits: JobLimits,
-    /// Residency limits of the shape cache (LRU eviction beyond them).
-    pub cache_limits: CacheLimits,
     /// Directory of the on-disk [`crate::store::BundleStore`]. When set,
     /// bundles persisted by earlier runs are loaded at startup (a
     /// restarted server answers its first request warm) and every
@@ -80,9 +74,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: rayon::current_num_threads().max(1),
             queue_capacity: 64,
-            bundle_seed: 0x5eed_cafe,
-            limits: JobLimits::default(),
-            cache_limits: CacheLimits::default(),
             bundle_store: None,
             supervisor: SupervisorConfig::default(),
         }
@@ -243,7 +234,6 @@ struct Shared {
     /// Blocking submitters wait here for queue space.
     space: Condvar,
     cache: ShapeCache,
-    limits: JobLimits,
     capacity: usize,
     /// The single source of truth behind `/v1/stats` and `/v1/metrics`:
     /// every engine counter above lives here, the shape cache's
@@ -356,8 +346,7 @@ impl Engine {
         }
         let registry = Arc::new(Registry::new());
         let metrics = EngineMetrics::register_all(&registry);
-        let cache = ShapeCache::with_limits(config.bundle_seed, config.cache_limits)
-            .with_store(config.bundle_store.as_deref());
+        let cache = ShapeCache::new(config.bundle_store.as_deref());
         cache.register_metrics(&registry);
         let shared = Arc::new(Shared {
             state: RankedMutex::new(
@@ -371,7 +360,6 @@ impl Engine {
             jobs: Condvar::new(),
             space: Condvar::new(),
             cache,
-            limits: config.limits,
             capacity: config.queue_capacity,
             registry,
             metrics,
@@ -470,7 +458,7 @@ impl Engine {
         trace_id: u64,
         done: Done,
     ) -> Result<CancelToken, JobError> {
-        if let Err(e) = req.validate(&self.shared.limits) {
+        if let Err(e) = req.validate() {
             self.shared.metrics.rejected.inc();
             return Err(e);
         }

@@ -48,7 +48,7 @@ use crate::wire;
 use minijson::Value;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -79,6 +79,7 @@ pub(crate) const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(5);
 /// Tunables for [`Server::start_with`]. [`Default`] reproduces
 /// [`Server::start`]: an exclusive bind with the production sweep
 /// budgets.
+#[derive(Debug, Clone, Copy)]
 pub struct ServerOptions {
     /// Bind the listener with `SO_REUSEPORT` so a replacement server
     /// can share the port while this one drains — the kernel
@@ -89,7 +90,7 @@ pub struct ServerOptions {
     /// (default 5 s).
     pub keep_alive_idle: Duration,
     /// Budget for stalled transfers — bytes buffered but none moving
-    /// (default 30 s, also the [`Client`]'s default socket timeout).
+    /// (default 30 s, also the [`Client`]'s socket timeout).
     pub io_timeout: Duration,
 }
 
@@ -144,10 +145,7 @@ impl Server {
             engine.clone(),
             stop.clone(),
             draining.clone(),
-            crate::reactor::Tuning {
-                keep_alive_idle: opts.keep_alive_idle,
-                io_timeout: opts.io_timeout,
-            },
+            opts,
         )?;
         let mut handles = Vec::with_capacity(reactors.len());
         for reactor in reactors {
@@ -325,17 +323,25 @@ pub(crate) fn parse_request(buf: &[u8]) -> Parse {
     if !version.starts_with("HTTP/1.") {
         return bad("unsupported HTTP version");
     }
-    let mut content_length = 0usize;
+    let mut content_length = None;
     let mut keep_alive = false;
     let mut deadline_ms = None;
     let mut trace_header = None;
     for line in lines {
         if let Some((name, value)) = line.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                let Ok(n) = value.trim().parse() else {
+                let Ok(n) = value.trim().parse::<usize>() else {
                     return bad("invalid Content-Length");
                 };
-                content_length = n;
+                // Two different lengths leave the body's end ambiguous:
+                // whichever one the parser picked, the peer may mean the
+                // other, and the difference would be parsed as the next
+                // pipelined request. RFC 9112 §6.3: reject and close.
+                // Equal repeats are harmless.
+                if content_length.is_some_and(|prev| prev != n) {
+                    return bad("conflicting Content-Length headers");
+                }
+                content_length = Some(n);
             } else if name.eq_ignore_ascii_case("connection") {
                 keep_alive = value.trim().eq_ignore_ascii_case("keep-alive");
             } else if name.eq_ignore_ascii_case("transfer-encoding") {
@@ -355,6 +361,7 @@ pub(crate) fn parse_request(buf: &[u8]) -> Parse {
             }
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Parse::Bad(JobError::TooLarge {
             detail: format!("request body exceeds {MAX_BODY_BYTES} bytes"),
@@ -541,72 +548,37 @@ impl ExchangeError {
     }
 }
 
-// ---- retry policy ------------------------------------------------------
+// ---- retries -----------------------------------------------------------
 
-/// Bounded retry policy for the [`Client`] (see
-/// [`Client::with_retry`]). The default is **one attempt** — no
-/// retries — matching the client's historical behaviour; swarm and
-/// restart tests opt into more via [`RetryPolicy::attempts`].
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts including the first (so `1` = never retry).
-    pub max_attempts: u32,
-    /// Backoff before the second attempt; doubles per attempt.
-    pub base_backoff: Duration,
-    /// Cap on the exponential backoff.
-    pub max_backoff: Duration,
-    /// Seed for the deterministic jitter added to each backoff, so a
-    /// swarm of clients retrying the same outage decorrelates without
-    /// the policy becoming nondeterministic under test.
-    pub jitter_seed: u64,
-}
+/// Backoff before a [`Client`]'s second attempt; doubles per attempt.
+const BASE_BACKOFF: Duration = Duration::from_millis(10);
+/// Cap on the exponential retry backoff.
+const MAX_BACKOFF: Duration = Duration::from_millis(500);
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
-            jitter_seed: 0x9e37_79b9_7f4a_7c15,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy allowing `n` total attempts with the default backoff.
-    pub fn attempts(n: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: n.max(1),
-            ..RetryPolicy::default()
-        }
-    }
-}
+/// Clients constructed so far in this process: each client seeds its
+/// backoff jitter from its own construction number, so a swarm of
+/// clients retrying the same outage spreads out instead of retrying in
+/// lockstep, while each client's delays stay deterministic.
+static CLIENTS_BUILT: AtomicU64 = AtomicU64::new(1);
 
 /// What one failed attempt looked like to [`retry_decision`].
 #[derive(Debug, Clone, Copy)]
-pub enum AttemptOutcome<'a> {
+enum AttemptOutcome<'a> {
     /// A transport-level failure. `replay_safe` is true only when the
     /// request provably never started executing: connect failures and
     /// connections that died before any response byte arrived.
-    Transport {
-        /// Whether re-sending the request cannot double-execute it.
-        replay_safe: bool,
-    },
+    Transport { replay_safe: bool },
     /// An HTTP response, with the error envelope's `kind` tag (empty
     /// for responses without an envelope).
-    Response {
-        /// HTTP status code of the response.
-        status: u16,
-        /// The `error.kind` tag, or `""`.
-        kind: &'a str,
-    },
+    Response { status: u16, kind: &'a str },
 }
 
-/// Decides whether attempt `attempt` (1-based) may be followed by
-/// another, and after what backoff. `None` means surface the outcome
-/// as final. The rules, in order:
+/// Decides whether attempt `attempt` (1-based) of a client allowed
+/// `attempts` in total may be followed by another, and after what
+/// backoff. `None` means surface the outcome as final. The rules, in
+/// order:
 ///
-/// * Past `max_attempts`, never.
+/// * Past `attempts`, never.
 /// * Transport failures: only when replay-safe. A timeout or a
 ///   mid-response failure may mean the server executed (or is still
 ///   executing) the job — jobs are not idempotent in cost, so a blind
@@ -621,15 +593,16 @@ pub enum AttemptOutcome<'a> {
 ///   the server answered authoritatively; resending the same bytes
 ///   yields the same answer.
 ///
-/// The backoff doubles per attempt from `base_backoff` up to
-/// `max_backoff`, plus deterministic jitter (up to a quarter of the
+/// The backoff doubles per attempt from [`BASE_BACKOFF`] up to
+/// [`MAX_BACKOFF`], plus deterministic jitter (up to a quarter of the
 /// backoff) derived from `jitter_seed` and the attempt number.
-pub fn retry_decision(
-    policy: &RetryPolicy,
+fn retry_decision(
+    attempts: u32,
+    jitter_seed: u64,
     attempt: u32,
     outcome: &AttemptOutcome<'_>,
 ) -> Option<Duration> {
-    if attempt >= policy.max_attempts {
+    if attempt >= attempts {
         return None;
     }
     let retryable = match outcome {
@@ -642,24 +615,24 @@ pub fn retry_decision(
     if !retryable {
         return None;
     }
-    Some(backoff_with_jitter(policy, attempt))
+    Some(backoff_with_jitter(jitter_seed, attempt))
 }
 
 /// Exponential backoff with deterministic jitter for the wait after
 /// attempt `attempt` (1-based).
-fn backoff_with_jitter(policy: &RetryPolicy, attempt: u32) -> Duration {
+fn backoff_with_jitter(jitter_seed: u64, attempt: u32) -> Duration {
     let exp = attempt.saturating_sub(1).min(16);
-    let base = policy
-        .base_backoff
-        .saturating_mul(1u32 << exp)
-        .min(policy.max_backoff)
-        .max(Duration::from_millis(1));
-    // xorshift over the seed and attempt number: stable per (seed,
-    // attempt), different across seeds so a swarm decorrelates.
-    let mut x = policy.jitter_seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
+    let base = BASE_BACKOFF.saturating_mul(1u32 << exp).min(MAX_BACKOFF);
+    // splitmix64's finalizer over the seed and attempt number: stable
+    // per (seed, attempt), and nonlinear, so two seeds' jitters are
+    // independent from attempt to attempt. A linear mix such as
+    // xorshift carries the same seed difference into every attempt, and
+    // many more pairs of clients then share all their delays than
+    // chance would.
+    let mut x = jitter_seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^= x >> 31;
     let span = (base.as_millis() as u64 / 4).max(1);
     base + Duration::from_millis(x % span)
 }
@@ -671,46 +644,44 @@ fn backoff_with_jitter(policy: &RetryPolicy, attempt: u32) -> Duration {
 /// connection: consecutive requests from the same `Client` reuse the
 /// socket as long as the server keeps it open, falling back to a fresh
 /// connection (with one retry) when the pooled socket has gone stale.
+/// Its socket timeout is 30 s, the server's stalled-transfer budget.
 pub struct Client {
     addr: SocketAddr,
-    timeout: Duration,
-    retry: RetryPolicy,
+    /// Total attempts per request, including the first (`1` = never
+    /// retry).
+    attempts: u32,
+    /// Seed of this client's backoff jitter (see [`CLIENTS_BUILT`]).
+    jitter_seed: u64,
     /// The kept-alive connection from the previous request, if any.
     conn: RankedMutex<Option<TcpStream>>,
 }
 
 impl Client {
-    /// Resolves `addr` ("127.0.0.1:8632" or a `SocketAddr`) with the
-    /// default 30 s socket timeout. `/v1/solve` blocks until the job
-    /// finishes, so for shapes near the admission limits (or deep
-    /// queues) use [`Client::with_timeout`] and size the timeout to the
-    /// workload — a too-small value reports a job the server completes
-    /// as a transport error.
+    /// Resolves `addr` ("127.0.0.1:8632" or a `SocketAddr`); requests
+    /// are sent once, never retried. `/v1/solve` blocks until the job
+    /// finishes, so a job that runs past the 30 s socket timeout (a
+    /// shape near the admission limits, or a deep queue) is reported as
+    /// a transport error even though the server completes it.
     pub fn new(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
-        Client::with_timeout(addr, IO_TIMEOUT)
+        Client::with_retry(addr, 1)
     }
 
-    /// As [`Client::new`] with an explicit socket timeout.
-    pub fn with_timeout(addr: impl ToSocketAddrs, timeout: Duration) -> std::io::Result<Client> {
-        Client::with_retry(addr, timeout, RetryPolicy::default())
-    }
-
-    /// As [`Client::with_timeout`] with an explicit [`RetryPolicy`]:
-    /// failed attempts that [`retry_decision`] rules replay-safe are
-    /// re-sent after its backoff, up to the policy's attempt budget.
-    pub fn with_retry(
-        addr: impl ToSocketAddrs,
-        timeout: Duration,
-        retry: RetryPolicy,
-    ) -> std::io::Result<Client> {
+    /// As [`Client::new`], but a request may be sent up to `attempts`
+    /// times in total: a failed attempt is re-sent only when replaying
+    /// it cannot run the job twice (a refused connect, a socket that
+    /// died before any response byte, a `503 queue_full` or
+    /// `503 shutting_down`), after an exponential backoff from 10 ms,
+    /// capped at 500 ms, with per-client jitter.
+    pub fn with_retry(addr: impl ToSocketAddrs, attempts: u32) -> std::io::Result<Client> {
         let addr = addr
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, "no address"))?;
+        let built = CLIENTS_BUILT.fetch_add(1, Ordering::Relaxed);
         Ok(Client {
             addr,
-            timeout,
-            retry,
+            attempts: attempts.max(1),
+            jitter_seed: built.wrapping_mul(0x9e37_79b9_7f4a_7c15),
             conn: RankedMutex::new("client-conn", rank::CLIENT_CONN, None),
         })
     }
@@ -767,7 +738,7 @@ impl Client {
                         .and_then(Value::as_str)
                         .unwrap_or("");
                     let outcome = AttemptOutcome::Response { status, kind };
-                    match retry_decision(&self.retry, attempt, &outcome) {
+                    match retry_decision(self.attempts, self.jitter_seed, attempt, &outcome) {
                         Some(delay) => std::thread::sleep(delay),
                         None => return Ok((status, json)),
                     }
@@ -776,7 +747,7 @@ impl Client {
                     let outcome = AttemptOutcome::Transport {
                         replay_safe: e.replay_safe,
                     };
-                    match retry_decision(&self.retry, attempt, &outcome) {
+                    match retry_decision(self.attempts, self.jitter_seed, attempt, &outcome) {
                         Some(delay) => std::thread::sleep(delay),
                         None => return Err(e.error),
                     }
@@ -789,9 +760,9 @@ impl Client {
     /// One attempt: the pooled kept-alive connection when there is one
     /// (falling back to a fresh connection when the pooled socket had
     /// provably gone stale — server closed it between requests), else
-    /// a fresh connection. This stale-socket fallback predates the
-    /// retry policy and stays within a single attempt: it re-sends
-    /// only when zero response bytes arrived on a dead socket.
+    /// a fresh connection. This stale-socket fallback stays within a
+    /// single attempt, with or without retries: it re-sends only when
+    /// zero response bytes arrived on a dead socket.
     fn request_once(
         &self,
         method: &str,
@@ -808,7 +779,7 @@ impl Client {
             }
         }
         let stream =
-            TcpStream::connect_timeout(&self.addr, self.timeout).map_err(ExchangeError::connect)?;
+            TcpStream::connect_timeout(&self.addr, IO_TIMEOUT).map_err(ExchangeError::connect)?;
         self.exchange(stream, method, path, body)
     }
 
@@ -823,8 +794,8 @@ impl Client {
         body: Option<&Value>,
     ) -> Result<(u16, Value), ExchangeError> {
         let pre = ExchangeError::before_response;
-        stream.set_read_timeout(Some(self.timeout)).map_err(pre)?;
-        stream.set_write_timeout(Some(self.timeout)).map_err(pre)?;
+        stream.set_read_timeout(Some(IO_TIMEOUT)).map_err(pre)?;
+        stream.set_write_timeout(Some(IO_TIMEOUT)).map_err(pre)?;
         stream.set_nodelay(true).map_err(pre)?;
         let payload = body.map(Value::serialize).unwrap_or_default();
         // Head and body go out in one write (see `write_response`).
@@ -915,12 +886,12 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The full retry decision table: one row per (attempt, outcome)
-    /// case the policy distinguishes.
+    /// case the decision distinguishes.
     #[test]
     fn retry_decision_table() {
-        let policy = RetryPolicy::attempts(3);
         let transport_safe = AttemptOutcome::Transport { replay_safe: true };
         let transport_unsafe = AttemptOutcome::Transport { replay_safe: false };
         let shed = AttemptOutcome::Response {
@@ -969,7 +940,7 @@ mod tests {
             (1, &ok, false),
         ];
         for (attempt, outcome, retries) in cases {
-            let decision = retry_decision(&policy, *attempt, outcome);
+            let decision = retry_decision(3, 7, *attempt, outcome);
             assert_eq!(
                 decision.is_some(),
                 *retries,
@@ -978,13 +949,13 @@ mod tests {
         }
     }
 
-    /// A one-attempt policy (the default) never retries anything.
+    /// [`Client::new`] allows one attempt, which never retries anything.
     #[test]
     fn default_policy_never_retries() {
-        let policy = RetryPolicy::default();
-        assert_eq!(policy.max_attempts, 1);
+        let client = Client::new("127.0.0.1:9").expect("literal address");
+        assert_eq!(client.attempts, 1);
         let outcome = AttemptOutcome::Transport { replay_safe: true };
-        assert!(retry_decision(&policy, 1, &outcome).is_none());
+        assert!(retry_decision(client.attempts, client.jitter_seed, 1, &outcome).is_none());
     }
 
     /// Backoff doubles per attempt, saturates at the cap, and its
@@ -992,19 +963,13 @@ mod tests {
     /// across seeds.
     #[test]
     fn backoff_grows_caps_and_jitters_deterministically() {
-        let policy = RetryPolicy {
-            max_attempts: 16,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(100),
-            jitter_seed: 7,
-        };
         let outcome = AttemptOutcome::Transport { replay_safe: true };
-        let waits: Vec<Duration> = (1..=5)
-            .map(|attempt| retry_decision(&policy, attempt, &outcome).expect("within budget"))
+        let waits: Vec<Duration> = (1..=8)
+            .map(|attempt| retry_decision(16, 7, attempt, &outcome).expect("within budget"))
             .collect();
-        // Exponential base: 10, 20, 40, 80, then capped at 100; jitter
+        // Exponential base: 10, 20, …, 320, then capped at 500; jitter
         // adds at most a quarter of the base on top.
-        let bases = [10u64, 20, 40, 80, 100];
+        let bases = [10u64, 20, 40, 80, 160, 320, 500, 500];
         for (wait, base) in waits.iter().zip(bases) {
             let ms = wait.as_millis() as u64;
             assert!(
@@ -1013,16 +978,175 @@ mod tests {
             );
         }
         // Deterministic: the same (seed, attempt) repeats exactly.
-        let again = retry_decision(&policy, 3, &outcome).expect("within budget");
+        let again = retry_decision(16, 7, 3, &outcome).expect("within budget");
         assert_eq!(waits[2], again);
         // Decorrelated: another seed jitters differently somewhere.
-        let other = RetryPolicy {
-            jitter_seed: 8,
-            ..policy
-        };
         let differs = (1..=5).any(|attempt| {
-            retry_decision(&other, attempt, &outcome) != retry_decision(&policy, attempt, &outcome)
+            retry_decision(16, 8, attempt, &outcome) != retry_decision(16, 7, attempt, &outcome)
         });
         assert!(differs, "jitter ignored the seed");
+    }
+
+    /// Clients do not retry an outage in lockstep: two clients built one
+    /// after the other wait for different times on some attempt.
+    #[test]
+    fn clients_built_in_turn_back_off_differently() {
+        let a = Client::with_retry("127.0.0.1:9", 6).expect("literal address");
+        let b = Client::with_retry("127.0.0.1:9", 6).expect("literal address");
+        let outcome = AttemptOutcome::Transport { replay_safe: true };
+        let waits = |c: &Client| -> Vec<Option<Duration>> {
+            (1..=5)
+                .map(|attempt| retry_decision(c.attempts, c.jitter_seed, attempt, &outcome))
+                .collect()
+        };
+        assert!(waits(&a).iter().all(Option::is_some));
+        assert_ne!(waits(&a), waits(&b), "both clients back off alike");
+    }
+
+    /// What the chunking property compares per request: method, path,
+    /// keep-alive flag, deadline and body.
+    type Seen = (String, String, bool, Option<u64>, Vec<u8>);
+
+    /// Drives `stream` through [`parse_request`] the way the reactor
+    /// does: bytes arrive in chunks of the given lengths (cycled), and
+    /// after each arrival every complete request is parsed off the front
+    /// of the buffer. Returns what each request carried, or the parser's
+    /// complaint.
+    fn parse_in_chunks(stream: &[u8], chunks: &[usize]) -> Result<Vec<Seen>, String> {
+        let mut buf = Vec::new();
+        let mut parsed = Vec::new();
+        let mut rest = stream;
+        for &len in chunks.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(len.min(rest.len()));
+            buf.extend_from_slice(chunk);
+            rest = tail;
+            loop {
+                match parse_request(&buf) {
+                    Parse::Partial => break,
+                    Parse::Bad(e) => return Err(e.to_string()),
+                    Parse::Request(head) => {
+                        let end = head.body_start + head.body_len;
+                        parsed.push((
+                            head.method,
+                            head.path,
+                            head.keep_alive,
+                            head.deadline_ms,
+                            buf[head.body_start..end].to_vec(),
+                        ));
+                        buf.drain(..end);
+                    }
+                }
+            }
+        }
+        if !buf.is_empty() {
+            return Err(format!("{} bytes left unparsed", buf.len()));
+        }
+        Ok(parsed)
+    }
+
+    /// The routes of the README endpoint table.
+    const ROUTES: [(&str, &str); 6] = [
+        ("GET", "/healthz"),
+        ("GET", "/v1/stats"),
+        ("GET", "/v1/metrics"),
+        ("GET", "/v1/trace/00000000000000a1"),
+        ("POST", "/v1/solve"),
+        ("POST", "/v1/batch"),
+    ];
+
+    /// One valid request: a route, a body of arbitrary bytes (which may
+    /// hold CRLFs or a whole request of its own), and the optional
+    /// `Connection: keep-alive` and `x-deadline-ms` headers.
+    fn any_request() -> impl Strategy<Value = (usize, Vec<u8>, bool, Option<u64>)> {
+        (
+            0usize..ROUTES.len(),
+            proptest::collection::vec(0u8..=255, 0..2049),
+            0u8..2,
+            (0u8..2, 0u64..1_000_000),
+        )
+            .prop_map(|(route, body, keep_alive, (has_deadline, ms))| {
+                (
+                    route,
+                    body,
+                    keep_alive == 1,
+                    (has_deadline == 1).then_some(ms),
+                )
+            })
+    }
+
+    /// Chunk lengths on several scales, so splits land inside request
+    /// lines, headers, terminators and bodies alike.
+    fn any_chunk() -> impl Strategy<Value = usize> {
+        (0usize..4, 0usize..4096).prop_map(|(scale, raw)| 1 + raw % [8, 64, 512, 4096][scale])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// How the bytes of a pipelined stream arrive must not change
+        /// what is parsed: any chunking yields the requests a one-shot
+        /// parse of the whole stream yields, which are the requests
+        /// that were sent.
+        #[test]
+        fn chunked_arrival_parses_like_one_shot(
+            requests in proptest::collection::vec(any_request(), 1..9),
+            chunks in proptest::collection::vec(any_chunk(), 1..32),
+        ) {
+            let mut stream = Vec::new();
+            let mut sent = Vec::new();
+            for (route, body, keep_alive, deadline_ms) in requests {
+                let (method, path) = ROUTES[route];
+                let mut head = format!(
+                    "{method} {path} HTTP/1.1\r\nHost: pieri\r\nContent-Length: {}\r\n",
+                    body.len()
+                );
+                if keep_alive {
+                    head.push_str("Connection: keep-alive\r\n");
+                }
+                if let Some(ms) = deadline_ms {
+                    head.push_str(&format!("x-deadline-ms: {ms}\r\n"));
+                }
+                head.push_str("\r\n");
+                stream.extend_from_slice(head.as_bytes());
+                stream.extend_from_slice(&body);
+                sent.push((method.to_string(), path.to_string(), keep_alive, deadline_ms, body));
+            }
+            let whole = parse_in_chunks(&stream, &[stream.len()]);
+            prop_assert_eq!(whole.as_ref(), Ok(&sent));
+            prop_assert_eq!(parse_in_chunks(&stream, &chunks), whole);
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_rejected() {
+        // Accepting either length would desynchronise the stream: with
+        // the last one (0), "hello" became the next request's start.
+        let req = b"POST /v1/solve HTTP/1.1\r\nContent-Length: 5\r\n\
+                    Content-Length: 0\r\n\r\nhello";
+        match parse_request(req) {
+            Parse::Bad(e) => {
+                assert_eq!(status_for(&e), 400);
+                assert!(e.to_string().contains("conflicting"), "{e}");
+            }
+            Parse::Partial => panic!("conflicting lengths read as a partial request"),
+            Parse::Request(head) => panic!("accepted with body_len {}", head.body_len),
+        }
+    }
+
+    #[test]
+    fn repeated_equal_content_lengths_are_accepted() {
+        let req = b"POST /v1/solve HTTP/1.1\r\nContent-Length: 5\r\n\
+                    content-length: 5\r\n\r\nhello";
+        match parse_request(req) {
+            Parse::Request(head) => {
+                assert_eq!(head.body_len, 5);
+                assert_eq!(&req[head.body_start..], b"hello");
+            }
+            Parse::Partial => panic!("complete request read as partial"),
+            Parse::Bad(e) => panic!("rejected: {e}"),
+        }
     }
 }

@@ -15,26 +15,13 @@ use pieri_tracker::TrackStats;
 use std::fmt;
 use std::time::Duration;
 
-/// Admission limits, part of the engine configuration: they bound the
-/// combinatorial size of a job so one request cannot monopolise the
-/// server (d(m,p,q) grows exponentially).
-#[derive(Debug, Clone, Copy)]
-pub struct JobLimits {
-    /// Largest admissible root count `d(m,p,q)`.
-    pub max_roots: u128,
-    /// Largest admissible number of interpolation conditions
-    /// `n = mp + q(m+p)`.
-    pub max_conditions: usize,
-}
-
-impl Default for JobLimits {
-    fn default() -> Self {
-        JobLimits {
-            max_roots: 2_000,
-            max_conditions: 24,
-        }
-    }
-}
+/// Largest admissible root count `d(m,p,q)`. Together with
+/// [`MAX_CONDITIONS`] this bounds the combinatorial size of a job, so one
+/// request cannot monopolise the server (d(m,p,q) grows exponentially).
+const MAX_ROOTS: u128 = 2_000;
+/// Largest admissible number of interpolation conditions
+/// `n = mp + q(m+p)`.
+const MAX_CONDITIONS: usize = 24;
 
 /// A pole-placement or raw-Pieri job.
 #[derive(Debug, Clone)]
@@ -100,9 +87,10 @@ impl JobRequest {
         }
     }
 
-    /// Full validation against `limits`; everything the solvers would
-    /// panic on must be caught here.
-    pub fn validate(&self, limits: &JobLimits) -> Result<(), JobError> {
+    /// Full validation, including the admission limits (at most 24
+    /// conditions `n = mp + q(m+p)` and 2 000 roots `d(m,p,q)`);
+    /// everything the solvers would panic on must be caught here.
+    pub fn validate(&self) -> Result<(), JobError> {
         let (m, p, q) = self.shape_dims();
         if m == 0 || p == 0 {
             return Err(JobError::InvalidRequest(
@@ -126,32 +114,27 @@ impl JobRequest {
         // integers up to 2⁵³, so `m*p` could otherwise wrap in release
         // builds and sail past the limits. Since `n ≥ m`, `n ≥ p` and
         // `n ≥ 2q` (with m, p ≥ 1), any dimension beyond
-        // `max_conditions` already implies an oversized job — and after
+        // `MAX_CONDITIONS` already implies an oversized job — and after
         // this check the exact `n` below cannot overflow.
-        if m > limits.max_conditions || p > limits.max_conditions || q > limits.max_conditions {
+        if m > MAX_CONDITIONS || p > MAX_CONDITIONS || q > MAX_CONDITIONS {
             return Err(JobError::TooLarge {
                 detail: format!(
-                    "dimensions ({m},{p},{q}) exceed the condition limit {}",
-                    limits.max_conditions
+                    "dimensions ({m},{p},{q}) exceed the condition limit {MAX_CONDITIONS}"
                 ),
             });
         }
         let n = m * p + q * (m + p);
-        if n > limits.max_conditions {
+        if n > MAX_CONDITIONS {
             return Err(JobError::TooLarge {
                 detail: format!(
-                    "n = mp + q(m+p) = {n} conditions exceeds the limit {}",
-                    limits.max_conditions
+                    "n = mp + q(m+p) = {n} conditions exceeds the limit {MAX_CONDITIONS}"
                 ),
             });
         }
         let roots = root_count(m, p, q);
-        if roots > limits.max_roots {
+        if roots > MAX_ROOTS {
             return Err(JobError::TooLarge {
-                detail: format!(
-                    "d({m},{p},{q}) = {roots} roots exceeds the limit {}",
-                    limits.max_roots
-                ),
+                detail: format!("d({m},{p},{q}) = {roots} roots exceeds the limit {MAX_ROOTS}"),
             });
         }
         if let JobRequest::PlacePoles {
@@ -383,8 +366,7 @@ mod tests {
 
     #[test]
     fn valid_requests_pass() {
-        let limits = JobLimits::default();
-        assert_eq!(satellite_request(1, 5).validate(&limits), Ok(()));
+        assert_eq!(satellite_request(1, 5).validate(), Ok(()));
         let solve = JobRequest::SolvePieri {
             m: 2,
             p: 2,
@@ -392,19 +374,17 @@ mod tests {
             seed: 3,
             certify: false,
         };
-        assert_eq!(solve.validate(&limits), Ok(()));
+        assert_eq!(solve.validate(), Ok(()));
     }
 
     #[test]
     fn wrong_pole_count_is_invalid_not_panic() {
-        let limits = JobLimits::default();
-        let err = satellite_request(1, 4).validate(&limits).unwrap_err();
+        let err = satellite_request(1, 4).validate().unwrap_err();
         assert_eq!(err.kind(), "invalid_request");
     }
 
     #[test]
     fn zero_io_dimensions_rejected() {
-        let limits = JobLimits::default();
         let req = JobRequest::SolvePieri {
             m: 0,
             p: 2,
@@ -412,12 +392,11 @@ mod tests {
             seed: 0,
             certify: false,
         };
-        assert_eq!(req.validate(&limits).unwrap_err().kind(), "invalid_request");
+        assert_eq!(req.validate().unwrap_err().kind(), "invalid_request");
     }
 
     #[test]
     fn oversized_seed_rejected_everywhere_not_just_on_the_wire() {
-        let limits = JobLimits::default();
         let req = JobRequest::SolvePieri {
             m: 2,
             p: 2,
@@ -425,13 +404,12 @@ mod tests {
             seed: 1 << 53,
             certify: false,
         };
-        assert_eq!(req.validate(&limits).unwrap_err().kind(), "invalid_request");
+        assert_eq!(req.validate().unwrap_err().kind(), "invalid_request");
     }
 
     #[test]
     fn pole_on_open_loop_spectrum_is_a_client_error_not_a_panic() {
         // The satellite's open-loop spectrum contains 0 and ±iω.
-        let limits = JobLimits::default();
         let ss = pieri_control::satellite_plant(1.0);
         let mut rng = seeded_rng(2);
         let mut poles = pieri_control::conjugate_pole_set(4, &mut rng);
@@ -445,7 +423,7 @@ mod tests {
             seed: 1,
             certify: false,
         };
-        let err = req.validate(&limits).unwrap_err();
+        let err = req.validate().unwrap_err();
         assert_eq!(err.kind(), "invalid_request");
         assert!(err.to_string().contains("open-loop"), "{err}");
     }
@@ -459,13 +437,12 @@ mod tests {
             seed: 0,
             certify: false,
         };
-        let err = req.validate(&JobLimits::default()).unwrap_err();
+        let err = req.validate().unwrap_err();
         assert_eq!(err.kind(), "too_large");
     }
 
     #[test]
     fn non_square_a_rejected() {
-        let limits = JobLimits::default();
         let req = JobRequest::PlacePoles {
             a: CMat::zeros(2, 3),
             b: CMat::zeros(2, 1),
@@ -475,12 +452,11 @@ mod tests {
             seed: 0,
             certify: false,
         };
-        assert_eq!(req.validate(&limits).unwrap_err().kind(), "invalid_request");
+        assert_eq!(req.validate().unwrap_err().kind(), "invalid_request");
     }
 
     #[test]
     fn non_finite_data_rejected() {
-        let limits = JobLimits::default();
         let mut a = CMat::zeros(1, 1);
         a[(0, 0)] = Complex64::new(f64::NAN, 0.0);
         let req = JobRequest::PlacePoles {
@@ -492,6 +468,6 @@ mod tests {
             seed: 0,
             certify: false,
         };
-        assert_eq!(req.validate(&limits).unwrap_err().kind(), "invalid_request");
+        assert_eq!(req.validate().unwrap_err().kind(), "invalid_request");
     }
 }

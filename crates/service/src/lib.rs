@@ -76,5 +76,5 @@ pub use pieri_trace;
 
 pub use cache::{CacheStats, ShapeCache};
 pub use engine::{Engine, EngineConfig, EngineStats, SupervisorConfig};
-pub use http::{retry_decision, AttemptOutcome, Client, RetryPolicy, Server, ServerOptions};
-pub use job::{CompensatorAnswer, JobError, JobLimits, JobRequest, JobResult};
+pub use http::{Client, Server, ServerOptions};
+pub use job::{CompensatorAnswer, JobError, JobRequest, JobResult};

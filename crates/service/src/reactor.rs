@@ -64,7 +64,7 @@ use pieri_trace::{Counter, Histogram, Registry};
 use pieri_tracker::CancelToken;
 
 use crate::engine::Engine;
-use crate::http;
+use crate::http::{self, ServerOptions};
 use crate::job::{JobError, JobResult};
 use crate::sync::{rank, RankedMutex};
 use crate::wire;
@@ -151,17 +151,6 @@ impl HttpMetrics {
             latency_us,
         }
     }
-}
-
-/// Per-server sweep budgets, threaded from
-/// [`crate::http::ServerOptions`] so tests can shrink them without
-/// waiting out the production constants.
-#[derive(Clone, Copy)]
-pub(crate) struct Tuning {
-    /// Idle budget for quiescent kept-alive connections.
-    pub(crate) keep_alive_idle: Duration,
-    /// Budget for stalled transfers (bytes buffered, none moving).
-    pub(crate) io_timeout: Duration,
 }
 
 /// One finished engine job on its way back to a reactor thread.
@@ -296,7 +285,8 @@ pub(crate) struct Reactor {
     /// Round-robin cursor for dealing accepted sockets.
     rr: usize,
     last_sweep: Instant,
-    tuning: Tuning,
+    /// The server's options; the idle sweep reads its budgets here.
+    opts: ServerOptions,
     /// Per-path request counters/latency, shared across reactors.
     http_metrics: Arc<HttpMetrics>,
 }
@@ -314,7 +304,7 @@ pub(crate) fn build(
     engine: Arc<Engine>,
     stop: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
-    tuning: Tuning,
+    opts: ServerOptions,
 ) -> std::io::Result<BuildParts> {
     listener.set_nonblocking(true)?;
     let threads = threads.max(1);
@@ -355,7 +345,7 @@ pub(crate) fn build(
             next_token: FIRST_CONN,
             rr: 0,
             last_sweep: Instant::now(),
-            tuning,
+            opts,
             http_metrics: http_metrics.clone(),
         })
         .collect();
@@ -1056,8 +1046,7 @@ impl Reactor {
     /// governs job latency, not the transport. Quiescent kept-alive
     /// connections get the server's `keep_alive_idle` budget;
     /// connections with buffered bytes (a stalled request or response)
-    /// get the larger `io_timeout` (both from [`Tuning`], defaulted by
-    /// [`crate::http::ServerOptions`]).
+    /// get the larger `io_timeout` (both from [`ServerOptions`]).
     // lint:nonblocking — clock reads and map removals only
     fn sweep_idle(&mut self) {
         let now = Instant::now();
@@ -1065,13 +1054,13 @@ impl Reactor {
         // test budgets are enforced promptly (poll ticks bound the
         // cadence floor).
         let cadence = SWEEP_EVERY
-            .min(self.tuning.keep_alive_idle)
-            .min(self.tuning.io_timeout);
+            .min(self.opts.keep_alive_idle)
+            .min(self.opts.io_timeout);
         if now.duration_since(self.last_sweep) < cadence {
             return;
         }
         self.last_sweep = now;
-        let tuning = self.tuning;
+        let opts = self.opts;
         let expired: Vec<usize> = self
             .conns
             .iter()
@@ -1081,9 +1070,9 @@ impl Reactor {
                 }
                 let quiescent = conn.read_buf.is_empty() && conn.write_buf.is_empty();
                 let budget = if quiescent {
-                    tuning.keep_alive_idle
+                    opts.keep_alive_idle
                 } else {
-                    tuning.io_timeout
+                    opts.io_timeout
                 };
                 now.duration_since(conn.last_activity) > budget
             })

@@ -12,9 +12,7 @@
 //! the lock: the next test's plan must not fire in that engine.
 
 use pieri_service::pieri_chaos::{self, FaultPlan};
-use pieri_service::{
-    Client, Engine, EngineConfig, JobRequest, RetryPolicy, Server, SupervisorConfig,
-};
+use pieri_service::{Client, Engine, EngineConfig, JobRequest, Server, SupervisorConfig};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -209,9 +207,7 @@ fn socket_fault_storm_answers_every_request_exactly_once() {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 scope.spawn(move || {
-                    let client =
-                        Client::with_retry(addr, Duration::from_secs(30), RetryPolicy::attempts(4))
-                            .expect("client");
+                    let client = Client::with_retry(addr, 4).expect("client");
                     (0..per_thread)
                         .map(|i| {
                             let seed = (t * per_thread + i) as u64 % 3;
@@ -261,12 +257,7 @@ fn dropped_accepts_are_survived_by_retry() {
     let guard = ChaosGuard::install("sock.accept.fail@1..2");
     let engine = Arc::new(engine_with(1, fast_supervisor()));
     let server = Server::start("127.0.0.1:0", engine).expect("bind");
-    let client = Client::with_retry(
-        server.addr(),
-        Duration::from_secs(10),
-        RetryPolicy::attempts(5),
-    )
-    .expect("client");
+    let client = Client::with_retry(server.addr(), 5).expect("client");
     let (status, body) = client.get("/healthz").expect("retries get through");
     assert_eq!(status, 200, "{}", body.serialize());
     assert_eq!(guard.plan.fired("sock.accept.fail"), 2);

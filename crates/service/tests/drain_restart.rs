@@ -4,7 +4,7 @@
 //! the reactor's idle sweep enforces the per-server budgets from
 //! [`ServerOptions`] while exempting connections with work in flight.
 
-use pieri_service::{Client, Engine, EngineConfig, JobRequest, RetryPolicy, Server, ServerOptions};
+use pieri_service::{Client, Engine, EngineConfig, JobRequest, Server, ServerOptions};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,9 +60,7 @@ fn zero_downtime_restart_mid_swarm() {
                 let stop = Arc::clone(&stop);
                 let next_seed = Arc::clone(&next_seed);
                 scope.spawn(move || {
-                    let client =
-                        Client::with_retry(addr, Duration::from_secs(30), RetryPolicy::attempts(6))
-                            .expect("client");
+                    let client = Client::with_retry(addr, 6).expect("client");
                     let mut answers = Vec::new();
                     while !stop.load(Ordering::SeqCst) {
                         let seed = next_seed.fetch_add(1, Ordering::SeqCst) % 3;
