@@ -1,13 +1,12 @@
 //! Criterion benchmarks for the path tracker: per-path cost on the
-//! cyclic-5 benchmark, the predictor-order ablation (secant vs Euler
-//! vs RK4 — more solves per step vs fewer, larger steps), and batch
-//! tracking on the work-stealing fork-join pool vs the sequential
-//! baseline (the pool-backed timing behind the Fig. 1–3 calibrations).
+//! cyclic-5 benchmark, one Pieri job, and batch tracking on the
+//! work-stealing fork-join pool vs the sequential baseline (the
+//! pool-backed timing behind the Fig. 1–3 calibrations).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use pieri_num::{random_gamma, seeded_rng};
 use pieri_systems::{cyclic, total_degree_start};
-use pieri_tracker::{track_path, LinearHomotopy, Predictor, TrackSettings};
+use pieri_tracker::{track_path, LinearHomotopy, TrackSettings};
 
 fn cyclic5_setup() -> (LinearHomotopy, Vec<Vec<pieri_num::Complex64>>) {
     let mut rng = seeded_rng(80);
@@ -23,31 +22,6 @@ fn bench_single_path(c: &mut Criterion) {
     c.bench_function("track_one_cyclic5_path", |b| {
         b.iter(|| track_path(&h, &starts[0], &settings))
     });
-}
-
-fn bench_predictor_ablation(c: &mut Criterion) {
-    let (h, starts) = cyclic5_setup();
-    let mut group = c.benchmark_group("predictor_ablation");
-    for (name, predictor) in [
-        ("secant", Predictor::Secant),
-        ("euler", Predictor::Tangent),
-        ("rk4", Predictor::RungeKutta4),
-    ] {
-        let settings = TrackSettings {
-            predictor,
-            ..TrackSettings::default()
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(name), &settings, |b, s| {
-            // Track a small batch so step-count differences show up.
-            b.iter(|| {
-                starts[..8]
-                    .iter()
-                    .map(|x0| track_path(&h, x0, s).steps)
-                    .sum::<usize>()
-            })
-        });
-    }
-    group.finish();
 }
 
 fn bench_pieri_job(c: &mut Criterion) {
@@ -110,7 +84,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_single_path, bench_predictor_ablation, bench_pieri_job,
-        bench_pool_batch_tracking
+    targets = bench_single_path, bench_pieri_job, bench_pool_batch_tracking
 }
 criterion_main!(benches);

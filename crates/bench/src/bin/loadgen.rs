@@ -27,10 +27,10 @@
 //! `--trace-out PATH` installs the `pieri-trace` recorder before the
 //! run and writes everything it captured as Chrome `trace_event` JSON
 //! on exit (open the file in `chrome://tracing` or Perfetto), with the
-//! count of records the recorder dropped. The server-side spans —
-//! parse/admit/queue.wait/track/render per request — are recorded in
-//! every build; the tracker's predict/correct spans additionally need
-//! `--features pieri-tracker/trace`.
+//! count of records the recorder dropped. The recorder is deep, so the
+//! export holds the server-side spans (parse/admit/queue.wait/track/
+//! render per request) and the tracker's track.path/predict/correct
+//! spans, in every build.
 //!
 //! `loadgen restart` runs the **zero-downtime restart drill** instead:
 //! a swarm of retrying clients hammers server A (bound with

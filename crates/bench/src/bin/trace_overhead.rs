@@ -4,19 +4,18 @@
 //! the host's speed phase.
 //!
 //! ```sh
-//! cargo run --release --bin trace_overhead [iters] [--deep]
-//! cargo run --release --bin trace_overhead --features pieri-tracker/trace
+//! cargo run --release --bin trace_overhead -- [iters] [--deep]
 //! ```
 //!
 //! One engine worker, shape (2,2,1) pre-warmed, then `iters` warm
 //! solves per side, each timed individually; both sides solve the same
 //! instances. While the recorder is installed every solve carries a
 //! fresh trace id, as a request through the reactor does, so its spans
-//! reach the recent-trace store too. The engine's `queue.wait`/`track`
-//! spans are always compiled in; the tracker's phase spans need
-//! `--features pieri-tracker/trace`, and its per-step
-//! `predict`/`correct` spans also `--deep`. Prints p50/p90 per side,
-//! their relative difference and the records the recorder dropped.
+//! reach the recent-trace store too. The installed side records the
+//! engine's `queue.wait`/`track` spans and the tracker's `track.path`
+//! spans, and with `--deep` also its per-step `predict`/`correct` spans.
+//! Prints p50/p90 per side, their relative difference and the records
+//! the recorder dropped.
 //!
 //! Usage: `trace_overhead [iters] [--deep]` (default 200 solves per
 //! side, in 10 alternating rounds).

@@ -56,15 +56,14 @@ impl CertifyPolicy {
     }
 
     /// The settings a solve under this policy should track with:
-    /// `settings` with re-tracking on under [`CertifyPolicy::full`], and
-    /// the caller's settings **unchanged** under [`CertifyPolicy::off`]
-    /// — a disabled policy must never clobber a `retrack` the caller
-    /// set directly on its [`TrackSettings`]. Every certified driver
-    /// funnels through this.
+    /// re-tracking on under [`CertifyPolicy::full`], and the caller's
+    /// `settings` **unchanged** under [`CertifyPolicy::off`] — a disabled
+    /// policy must never clobber a `retrack` the caller set directly on
+    /// its [`TrackSettings`], the tracker's one setting. Every certified
+    /// driver funnels through this.
     pub fn effective_settings(&self, settings: &TrackSettings) -> TrackSettings {
         TrackSettings {
             retrack: settings.retrack || self.certify,
-            ..*settings
         }
     }
 }
@@ -78,23 +77,14 @@ impl Default for CertifyPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pieri_tracker::Predictor;
 
     #[test]
     fn off_changes_nothing() {
         let p = CertifyPolicy::off();
         assert!(!p.certify);
-        let base = TrackSettings {
-            predictor: Predictor::Secant,
-            ..TrackSettings::default()
-        };
-        let derived = p.effective_settings(&base);
-        assert!(!derived.retrack);
-        assert_eq!(derived.predictor, base.predictor);
-        let own = TrackSettings {
-            retrack: true,
-            ..base
-        };
+        let base = TrackSettings::default();
+        assert!(!p.effective_settings(&base).retrack);
+        let own = TrackSettings { retrack: true };
         assert!(p.effective_settings(&own).retrack, "caller's retrack kept");
     }
 
@@ -102,13 +92,7 @@ mod tests {
     fn full_enables_everything() {
         let p = CertifyPolicy::full();
         assert!(p.certify);
-        let base = TrackSettings {
-            predictor: Predictor::Secant,
-            ..TrackSettings::default()
-        };
-        let derived = p.effective_settings(&base);
-        assert!(derived.retrack);
-        assert_eq!(derived.predictor, base.predictor);
+        assert!(p.effective_settings(&TrackSettings::default()).retrack);
         const { assert!(REFINE_TOL <= 1e-13) };
     }
 }

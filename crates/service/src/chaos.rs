@@ -13,6 +13,7 @@
 //!
 //! | site                 | effect                                        |
 //! |----------------------|-----------------------------------------------|
+//! | `poll.spurious`      | reactor poll wakes with no events             |
 //! | `sock.read.eagain`   | connection read reports `WouldBlock`          |
 //! | `sock.read.short`    | read capped to `:n=` bytes (default 1)        |
 //! | `sock.write.eagain`  | connection write reports `WouldBlock`         |
@@ -25,9 +26,6 @@
 //! | `store.write.torn`   | bundle save crashes mid-write (torn temp)     |
 //! | `store.write.enospc` | bundle save fails as if the disk were full    |
 //! | `store.corrupt`      | saved bundle payload corrupted post-checksum  |
-//!
-//! (`poll.spurious` lives in `vendor/mio-lite` behind its own `chaos`
-//! feature, which this crate's feature enables transitively.)
 
 #[cfg(not(feature = "chaos"))]
 pub(crate) use disabled::*;
@@ -36,8 +34,10 @@ pub(crate) use enabled::*;
 
 #[cfg(feature = "chaos")]
 mod enabled {
+    use mio_lite::{Events, Poll};
     use std::io::{self, Read, Write};
     use std::net::TcpStream;
+    use std::time::Duration;
 
     /// A scheduled fault at a named site, with the plan's optional
     /// integer parameter.
@@ -65,6 +65,17 @@ mod enabled {
             // lint:allow(no-panic-in-service) — this *is* the fault injector: it fires only under an installed chaos plan, and the build is a no-op without the `chaos` feature.
             panic!("chaos: injected panic at {site}");
         }
+    }
+
+    /// Reactor poll with injectable spurious wakeups, which return at
+    /// once with no events. Registrations are level-triggered, so the
+    /// next poll re-observes any readiness.
+    pub(crate) fn poll(poll: &Poll, events: &mut Events, tick: Duration) -> io::Result<usize> {
+        if fault("poll.spurious").is_some() {
+            events.clear();
+            return Ok(0);
+        }
+        poll.poll(events, Some(tick))
     }
 
     /// Connection read with injectable EAGAIN storms and short reads.
@@ -107,8 +118,10 @@ mod enabled {
 
 #[cfg(not(feature = "chaos"))]
 mod disabled {
+    use mio_lite::{Events, Poll};
     use std::io::{self, Read, Write};
     use std::net::TcpStream;
+    use std::time::Duration;
 
     /// Stand-in for the enabled build's fault hit; never constructed.
     #[derive(Debug, Clone, Copy)]
@@ -128,6 +141,11 @@ mod disabled {
 
     #[inline(always)]
     pub(crate) fn panic_site(_site: &'static str) {}
+
+    #[inline(always)]
+    pub(crate) fn poll(poll: &Poll, events: &mut Events, tick: Duration) -> io::Result<usize> {
+        poll.poll(events, Some(tick))
+    }
 
     #[inline(always)]
     pub(crate) fn sock_read(stream: &mut TcpStream, buf: &mut [u8]) -> io::Result<usize> {

@@ -42,6 +42,7 @@ use pieri_core::{continue_to_instance, Shape};
 use pieri_num::{seeded_rng, Complex64};
 use pieri_trace::{Counter, Gauge, Histogram, Registry};
 use pieri_tracker::{CancelToken, TrackSettings};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -344,6 +345,9 @@ impl Engine {
         if !pieri_trace::enabled() {
             pieri_trace::install_from_env();
         }
+        // Tracker spans reach the recorder through the tracker's hook
+        // (set by the first engine of the process).
+        pieri_tracker::trace::set_hook(open_tracker_span, close_tracker_span);
         let registry = Arc::new(Registry::new());
         let metrics = EngineMetrics::register_all(&registry);
         let cache = ShapeCache::new(config.bundle_store.as_deref());
@@ -824,6 +828,27 @@ fn worker_loop(shared: &Arc<Shared>, id: usize, generation: u64) {
         }
         done(result);
     }
+}
+
+thread_local! {
+    /// Guards of this thread's open tracker spans, innermost last.
+    static TRACKER_SPANS: RefCell<Vec<pieri_trace::SpanGuard>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The tracker's span hook: `enter` opens a `tracker` span under the
+/// thread's trace id while a recorder is installed (a deep span only
+/// under deep tracing), and `exit` closes the innermost one.
+fn open_tracker_span(name: &'static str, deep: bool) -> bool {
+    let open = pieri_trace::enabled() && (!deep || pieri_trace::deep_enabled());
+    if open {
+        let span = pieri_trace::span(name, "tracker");
+        TRACKER_SPANS.with(|spans| spans.borrow_mut().push(span));
+    }
+    open
+}
+
+fn close_tracker_span() {
+    TRACKER_SPANS.with(|spans| drop(spans.borrow_mut().pop()));
 }
 
 fn supervisor_loop(shared: &Arc<Shared>) {

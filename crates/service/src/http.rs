@@ -22,19 +22,23 @@
 //!
 //! Endpoints (see the README table):
 //!
-//! | Method | Path        | Body                  | Response |
-//! |--------|-------------|-----------------------|----------|
-//! | GET    | `/healthz`  | —                     | `{"ok":true}` |
-//! | GET    | `/v1/stats` | —                     | engine + cache counters |
-//! | POST   | `/v1/solve` | one tagged job        | job result |
-//! | POST   | `/v1/batch` | `{"jobs":[job, …]}`   | `{"results":[…]}` |
+//! | Method | Path             | Body                | Response |
+//! |--------|------------------|---------------------|----------|
+//! | GET    | `/healthz`       | —                   | `{"ok":true}` |
+//! | GET    | `/v1/stats`      | —                   | engine + cache counters |
+//! | GET    | `/v1/metrics`    | —                   | the same counters as Prometheus text |
+//! | GET    | `/v1/trace/<id>` | —                   | recorded span tree of a traced request (404 when unknown) |
+//! | POST   | `/v1/solve`      | one tagged job      | job result |
+//! | POST   | `/v1/batch`      | `{"jobs":[job, …]}` | `{"results":[…]}` |
 //!
 //! A request may carry `x-deadline-ms: N`: the job is only worth
 //! having for the next `N` milliseconds. The deadline rides into the
 //! engine — a job whose deadline lapses before a worker dequeues it is
-//! shed without touching the solver, and one that lapses mid-track is
-//! cancelled at the next path-tracker step — and lapsing surfaces as
-//! the structured `deadline_exceeded` envelope with status 503.
+//! shed without touching the solver, and one that lapses mid-track
+//! stops at the next path boundary (`continue_to_instance` checks the
+//! job's `pieri_tracker::cancel` token between paths) — and lapsing
+//! surfaces as the structured `deadline_exceeded` envelope with status
+//! 503.
 //!
 //! Error responses carry the structured envelope of
 //! [`crate::wire::error_to_json`] with HTTP status mapped from the error
@@ -276,22 +280,40 @@ impl ParsedHead {
 
 /// Outcome of one [`parse_request`] attempt over a growing buffer.
 pub(crate) enum Parse {
-    /// Not enough bytes yet — read more and try again.
-    Partial,
+    /// Not enough bytes yet: read more, then parse again from the
+    /// returned [`Resume`].
+    Partial(Resume),
     /// Unrecoverable framing error: answer it and close.
     Bad(JobError),
     /// One complete request.
     Request(ParsedHead),
 }
 
+/// Where the next [`parse_request`] attempt on a grown buffer resumes,
+/// so a request arriving one byte per read costs linear work in all.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Resume {
+    /// Leading bytes known to hold no start of the head terminator.
+    searched: usize,
+    /// Buffer length below which no request can be complete.
+    need: usize,
+}
+
 /// Incremental HTTP/1.1 request parser: inspects `buf` (the bytes
 /// received so far on a connection) and reports whether a complete
 /// request is present. The caller consumes `body_start + body_len`
-/// bytes on [`Parse::Request`] and re-invokes on the remainder —
-/// that re-invocation is what makes pipelining work.
-pub(crate) fn parse_request(buf: &[u8]) -> Parse {
+/// bytes on [`Parse::Request`] and re-invokes on the remainder with
+/// `Resume::default()` — that re-invocation is what makes pipelining
+/// work. After [`Parse::Partial`] it re-invokes with the returned
+/// resume point once more bytes arrived: the terminator search goes on
+/// where it stopped, and attempts return at once until a head's body is
+/// complete.
+pub(crate) fn parse_request(buf: &[u8], from: Resume) -> Parse {
+    if buf.len() < from.need {
+        return Parse::Partial(from);
+    }
     let bad = |msg: &str| Parse::Bad(JobError::InvalidRequest(msg.to_string()));
-    let Some(head_end) = find_header_end(buf) else {
+    let Some(head_end) = find_header_end(buf, from.searched) else {
         // No terminator yet: either an incomplete head or one that
         // already overflows the bound (a peer streaming garbage must
         // not grow the buffer forever).
@@ -300,7 +322,10 @@ pub(crate) fn parse_request(buf: &[u8]) -> Parse {
                 detail: format!("header block exceeds {MAX_HEADER_BYTES} bytes"),
             });
         }
-        return Parse::Partial;
+        return Parse::Partial(Resume {
+            searched: buf.len().saturating_sub(3),
+            need: buf.len() + 1,
+        });
     };
     if head_end > MAX_HEADER_BYTES {
         return Parse::Bad(JobError::TooLarge {
@@ -369,7 +394,10 @@ pub(crate) fn parse_request(buf: &[u8]) -> Parse {
     }
     let body_start = head_end + 4;
     if buf.len() < body_start + content_length {
-        return Parse::Partial;
+        return Parse::Partial(Resume {
+            searched: head_end,
+            need: body_start + content_length,
+        });
     }
     Parse::Request(ParsedHead {
         method: method.to_string(),
@@ -388,9 +416,12 @@ pub(crate) fn parse_request(buf: &[u8]) -> Parse {
     })
 }
 
-/// Position of the `\r\n\r\n` head terminator, if present.
-fn find_header_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Position of the first `\r\n\r\n` head terminator starting at or
+/// after `from`, if present.
+fn find_header_end(buf: &[u8], from: usize) -> Option<usize> {
+    let from = from.min(buf.len());
+    let found = buf[from..].windows(4).position(|w| w == b"\r\n\r\n");
+    found.map(|i| from + i)
 }
 
 /// Renders one JSON response — status line, headers, body — into a
@@ -1010,25 +1041,31 @@ mod tests {
     /// Drives `stream` through [`parse_request`] the way the reactor
     /// does: bytes arrive in chunks of the given lengths (cycled), and
     /// after each arrival every complete request is parsed off the front
-    /// of the buffer. Returns what each request carried, or the parser's
-    /// complaint.
-    fn parse_in_chunks(stream: &[u8], chunks: &[usize]) -> Result<Vec<Seen>, String> {
+    /// of the buffer. Every request must lie inside the buffer. Returns
+    /// what each request carried and the bytes left buffered, or the
+    /// parser's complaint.
+    fn parse_in_chunks(stream: &[u8], chunks: &[usize]) -> Result<(Vec<Seen>, usize), String> {
         let mut buf = Vec::new();
+        let mut resume = Resume::default();
         let mut parsed = Vec::new();
         let mut rest = stream;
         for &len in chunks.iter().cycle() {
             if rest.is_empty() {
                 break;
             }
-            let (chunk, tail) = rest.split_at(len.min(rest.len()));
+            let (chunk, tail) = rest.split_at(len.clamp(1, rest.len()));
             buf.extend_from_slice(chunk);
             rest = tail;
-            loop {
-                match parse_request(&buf) {
-                    Parse::Partial => break,
+            while !buf.is_empty() {
+                match parse_request(&buf, resume) {
+                    Parse::Partial(next) => {
+                        resume = next;
+                        break;
+                    }
                     Parse::Bad(e) => return Err(e.to_string()),
                     Parse::Request(head) => {
                         let end = head.body_start + head.body_len;
+                        assert!(end <= buf.len(), "request ends at {end} of {}", buf.len());
                         parsed.push((
                             head.method,
                             head.path,
@@ -1037,14 +1074,12 @@ mod tests {
                             buf[head.body_start..end].to_vec(),
                         ));
                         buf.drain(..end);
+                        resume = Resume::default();
                     }
                 }
             }
         }
-        if !buf.is_empty() {
-            return Err(format!("{} bytes left unparsed", buf.len()));
-        }
-        Ok(parsed)
+        Ok((parsed, buf.len()))
     }
 
     /// The routes of the README endpoint table.
@@ -1083,6 +1118,59 @@ mod tests {
         (0usize..4, 0usize..4096).prop_map(|(scale, raw)| 1 + raw % [8, 64, 512, 4096][scale])
     }
 
+    /// The wire bytes of `requests` sent back to back, what each one
+    /// carries, and the offset at which each one ends.
+    fn pipelined(
+        requests: Vec<(usize, Vec<u8>, bool, Option<u64>)>,
+    ) -> (Vec<u8>, Vec<Seen>, Vec<usize>) {
+        let mut stream = Vec::new();
+        let mut sent = Vec::new();
+        let mut ends = Vec::new();
+        for (route, body, keep_alive, deadline_ms) in requests {
+            let (method, path) = ROUTES[route];
+            let mut head = format!(
+                "{method} {path} HTTP/1.1\r\nHost: pieri\r\nContent-Length: {}\r\n",
+                body.len()
+            );
+            if keep_alive {
+                head.push_str("Connection: keep-alive\r\n");
+            }
+            if let Some(ms) = deadline_ms {
+                head.push_str(&format!("x-deadline-ms: {ms}\r\n"));
+            }
+            head.push_str("\r\n");
+            stream.extend_from_slice(head.as_bytes());
+            stream.extend_from_slice(&body);
+            ends.push(stream.len());
+            sent.push((
+                method.to_string(),
+                path.to_string(),
+                keep_alive,
+                deadline_ms,
+                body,
+            ));
+        }
+        (stream, sent, ends)
+    }
+
+    /// One edit of a byte stream: flip a byte, insert one, or delete
+    /// one, at a position taken modulo the stream's length.
+    fn any_mutation() -> impl Strategy<Value = (u8, usize, u8)> {
+        (0u8..3, 0usize..1 << 16, 1u8..=255)
+    }
+
+    fn mutate(stream: &mut Vec<u8>, (kind, at, byte): (u8, usize, u8)) {
+        let at = at % (stream.len() + 1);
+        match kind {
+            0 if at < stream.len() => stream[at] ^= byte,
+            1 => stream.insert(at, byte),
+            _ if at < stream.len() => {
+                stream.remove(at);
+            }
+            _ => {}
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1095,29 +1183,97 @@ mod tests {
             requests in proptest::collection::vec(any_request(), 1..9),
             chunks in proptest::collection::vec(any_chunk(), 1..32),
         ) {
-            let mut stream = Vec::new();
-            let mut sent = Vec::new();
-            for (route, body, keep_alive, deadline_ms) in requests {
-                let (method, path) = ROUTES[route];
-                let mut head = format!(
-                    "{method} {path} HTTP/1.1\r\nHost: pieri\r\nContent-Length: {}\r\n",
-                    body.len()
-                );
-                if keep_alive {
-                    head.push_str("Connection: keep-alive\r\n");
-                }
-                if let Some(ms) = deadline_ms {
-                    head.push_str(&format!("x-deadline-ms: {ms}\r\n"));
-                }
-                head.push_str("\r\n");
-                stream.extend_from_slice(head.as_bytes());
-                stream.extend_from_slice(&body);
-                sent.push((method.to_string(), path.to_string(), keep_alive, deadline_ms, body));
-            }
+            let (stream, sent, _) = pipelined(requests);
             let whole = parse_in_chunks(&stream, &[stream.len()]);
-            prop_assert_eq!(whole.as_ref(), Ok(&sent));
+            prop_assert_eq!(whole.as_ref(), Ok(&(sent, 0)));
             prop_assert_eq!(parse_in_chunks(&stream, &chunks), whole);
         }
+
+        /// A stream cut anywhere parses to the requests that ended
+        /// before the cut, and the rest waits as a partial request: a
+        /// truncation is never a framing error.
+        #[test]
+        fn truncated_streams_parse_to_a_prefix(
+            requests in proptest::collection::vec(any_request(), 1..5),
+            chunks in proptest::collection::vec(any_chunk(), 1..32),
+            cut in 0usize..1 << 16,
+        ) {
+            let (stream, sent, ends) = pipelined(requests);
+            let cut = cut % (stream.len() + 1);
+            let complete = ends.iter().filter(|&&end| end <= cut).count();
+            let consumed = if complete == 0 { 0 } else { ends[complete - 1] };
+            let parsed = parse_in_chunks(&stream[..cut], &chunks);
+            prop_assert_eq!(parsed, Ok((sent[..complete].to_vec(), cut - consumed)));
+        }
+
+        /// Flipped, inserted and deleted bytes never panic the parser,
+        /// and every request it accepts lies inside its buffer (checked
+        /// by `parse_in_chunks`).
+        #[test]
+        fn mutated_streams_never_panic(
+            requests in proptest::collection::vec(any_request(), 1..5),
+            chunks in proptest::collection::vec(any_chunk(), 1..32),
+            mutations in proptest::collection::vec(any_mutation(), 1..9),
+        ) {
+            let (mut stream, _, _) = pipelined(requests);
+            for mutation in mutations {
+                mutate(&mut stream, mutation);
+            }
+            let _ = parse_in_chunks(&stream, &chunks);
+        }
+    }
+
+    /// A 16 KiB head and a 64 KiB body arriving one byte per read cost
+    /// work linear in their length: each attempt searches for the head
+    /// terminator only past the prefix already searched, and while the
+    /// body is incomplete attempts return at once, so the head is parsed
+    /// twice in all.
+    #[test]
+    fn trickled_request_costs_linear_parse_work() {
+        let pad = "p".repeat(MAX_HEADER_BYTES - 100);
+        let body = vec![b'b'; 64 * 1024];
+        let head = format!(
+            "POST /v1/solve HTTP/1.1\r\nx-pad: {pad}\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        assert!(head.len() <= MAX_HEADER_BYTES && head.len() > MAX_HEADER_BYTES - 100);
+        let stream = [head.as_bytes(), &body].concat();
+        let (mut buf, mut resume) = (Vec::new(), Resume::default());
+        let (mut attempts, mut examined) = (0usize, 0usize);
+        let mut request = None;
+        for &byte in &stream {
+            buf.push(byte);
+            // An attempt on fewer bytes than `need` returns at once; any
+            // other searches buf[searched..] up to the end of the
+            // terminator and, once the head is there, parses the head.
+            if buf.len() >= resume.need {
+                attempts += 1;
+                examined += buf.len().min(head.len()) - resume.searched;
+                if buf.len() >= head.len() {
+                    examined += head.len();
+                }
+            }
+            match parse_request(&buf, resume) {
+                Parse::Partial(next) => resume = next,
+                Parse::Bad(e) => panic!("rejected: {e}"),
+                Parse::Request(parsed) => request = Some(parsed),
+            }
+        }
+        let request = request.expect("the request completes");
+        assert_eq!(
+            (request.body_start, request.body_len),
+            (head.len(), body.len())
+        );
+        assert_eq!(
+            attempts,
+            head.len() + 1,
+            "one attempt per head byte, one at the end"
+        );
+        assert!(
+            examined <= 2 * stream.len(),
+            "{examined} bytes examined for {} received",
+            stream.len()
+        );
     }
 
     #[test]
@@ -1126,12 +1282,12 @@ mod tests {
         // the last one (0), "hello" became the next request's start.
         let req = b"POST /v1/solve HTTP/1.1\r\nContent-Length: 5\r\n\
                     Content-Length: 0\r\n\r\nhello";
-        match parse_request(req) {
+        match parse_request(req, Resume::default()) {
             Parse::Bad(e) => {
                 assert_eq!(status_for(&e), 400);
                 assert!(e.to_string().contains("conflicting"), "{e}");
             }
-            Parse::Partial => panic!("conflicting lengths read as a partial request"),
+            Parse::Partial(_) => panic!("conflicting lengths read as a partial request"),
             Parse::Request(head) => panic!("accepted with body_len {}", head.body_len),
         }
     }
@@ -1140,12 +1296,12 @@ mod tests {
     fn repeated_equal_content_lengths_are_accepted() {
         let req = b"POST /v1/solve HTTP/1.1\r\nContent-Length: 5\r\n\
                     content-length: 5\r\n\r\nhello";
-        match parse_request(req) {
+        match parse_request(req, Resume::default()) {
             Parse::Request(head) => {
                 assert_eq!(head.body_len, 5);
                 assert_eq!(&req[head.body_start..], b"hello");
             }
-            Parse::Partial => panic!("complete request read as partial"),
+            Parse::Partial(_) => panic!("complete request read as partial"),
             Parse::Bad(e) => panic!("rejected: {e}"),
         }
     }

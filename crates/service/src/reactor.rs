@@ -11,10 +11,11 @@
 //! * **Read side** — `read` to `WouldBlock` into `read_buf`, then parse
 //!   as many complete HTTP/1.1 requests as the buffer holds
 //!   ([`crate::http::parse_request`] is incremental: a partial request
-//!   simply stays buffered). Every parsed request claims the next
-//!   sequence number and a slot in the FIFO, so *pipelined* requests —
-//!   several in flight on one connection — come back in order no
-//!   matter how the engine reorders their execution.
+//!   stays buffered, and the next attempt resumes where the last one
+//!   stopped). Every parsed request claims the next sequence number and
+//!   a slot in the FIFO, so *pipelined* requests — several in flight on
+//!   one connection — come back in order no matter how the engine
+//!   reorders their execution.
 //! * **Engine side** — solve/batch jobs go in through
 //!   [`crate::engine::Engine::submit_async`], which never blocks: a
 //!   full queue or a lapsed deadline is an immediate structured 503
@@ -46,10 +47,11 @@
 //! closed before its response starts is the client's replay-safe retry
 //! case, so a retrying client never loses a request across a restart.
 //!
-//! Socket syscalls on connections go through [`crate::chaos`]: under
-//! the `chaos` feature an installed fault plan can inject `EAGAIN`
-//! storms, short reads/writes, and dropped accepts; without the
-//! feature the shims inline away to the bare syscalls.
+//! The poll and the socket syscalls on connections go through
+//! [`crate::chaos`]: under the `chaos` feature an installed fault plan
+//! can inject spurious wakeups, `EAGAIN` storms, short reads/writes,
+//! and dropped accepts; without the feature the shims inline away to
+//! the bare syscalls.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
@@ -77,9 +79,12 @@ const LISTENER: Token = Token(1);
 /// increasing and never reused, so a stale completion for a closed
 /// connection can never be misdelivered to its token's successor.
 const FIRST_CONN: usize = 2;
-/// Number of reactor (I/O) threads. Two suffice for the solver-bound
-/// workload: the engine's worker pool is the throughput limit and the
-/// reactors only shuffle bytes and parse headers.
+/// Number of reactor (I/O) threads. Two, because one measured slower:
+/// on the benchmark's `static-place-http` workload (a 2-core host, seed
+/// 777, 40 s runs), a build with one reactor thread lost all 6
+/// alternating pairs against this one, with goodput median 1 248 vs
+/// 1 464 solves/s and p50 latency 1.42 vs 1.21 ms (113 failed ops on
+/// both sides).
 pub(crate) const REACTOR_THREADS: usize = 2;
 /// Requests admitted per connection ahead of the first unanswered one
 /// (HTTP/1.1 pipelining). Bounds per-connection memory: past this the
@@ -244,6 +249,8 @@ struct Conn {
     stream: TcpStream,
     /// Bytes received but not yet parsed into requests.
     read_buf: Vec<u8>,
+    /// Where parsing `read_buf` resumes.
+    resume: http::Resume,
     /// Rendered responses not yet accepted by the kernel.
     write_buf: Vec<u8>,
     /// Prefix of `write_buf` already written.
@@ -364,8 +371,8 @@ impl Reactor {
     pub(crate) fn run(mut self) {
         let mut events = Events::with_capacity(512);
         while !self.stop.load(Ordering::SeqCst) {
-            // lint:allow(no-blocking-in-nonblocking) — epoll_wait with a bounded timeout; the chaos-feature hook inside takes one bounded registry lock
-            let Ok(ready) = self.poll.poll(&mut events, Some(POLL_TICK)) else {
+            // lint:allow(no-blocking-in-nonblocking) — epoll_wait with a bounded timeout; the chaos-feature hook takes one bounded registry lock
+            let Ok(ready) = crate::chaos::poll(&self.poll, &mut events, POLL_TICK) else {
                 break;
             };
             // One event per productive wakeup; idle timeout ticks stay
@@ -506,6 +513,7 @@ impl Reactor {
         let mut conn = Conn {
             stream,
             read_buf: Vec::new(),
+            resume: http::Resume::default(),
             write_buf: Vec::new(),
             written: 0,
             slots: VecDeque::new(),
@@ -627,8 +635,11 @@ impl Reactor {
                 if conn.closing || conn.slots.len() >= PIPELINE_DEPTH || conn.read_buf.is_empty() {
                     return;
                 }
-                match http::parse_request(&conn.read_buf) {
-                    http::Parse::Partial => return,
+                match http::parse_request(&conn.read_buf, conn.resume) {
+                    http::Parse::Partial(resume) => {
+                        conn.resume = resume;
+                        return;
+                    }
                     http::Parse::Bad(e) => {
                         // Framing is unrecoverable: answer the envelope
                         // and close, exactly like the threaded core did.
@@ -652,6 +663,7 @@ impl Reactor {
                         let end = head.body_start + head.body_len;
                         let body = conn.read_buf[head.body_start..end].to_vec();
                         conn.read_buf.drain(..end);
+                        conn.resume = http::Resume::default();
                         conn.served += 1;
                         let close_after =
                             !head.keep_alive || conn.served >= http::MAX_REQUESTS_PER_CONN;

@@ -10,22 +10,23 @@
 //!   `H(x,t) = γ·(1−t)·G(x) + t·F(x)` with the gamma trick (eq. (1) of the
 //!   paper);
 //! * [`newton_correct`] — Newton's method as the corrector;
-//! * [`Predictor`] — secant, tangent (Euler) and fourth-order Runge–Kutta
-//!   predictors;
+//! * the predictor — one classical fourth-order Runge–Kutta step on
+//!   the Davidenko ODE, four [`tangent`] solves;
 //! * [`track_path`] — the adaptive step-size driver producing a
 //!   [`PathResult`] (converged / diverged-to-infinity / failed), plus
 //!   [`track_all`] and [`TrackStats`] for whole-system runs;
-//! * [`TrackSettings`] — the two choices a caller makes: the predictor,
-//!   and whether a failed path is re-tracked. Every other continuation
-//!   parameter (step lengths and budgets, tolerances, the divergence
-//!   threshold, the endgame radius) is a fixed constant of the tracker,
-//!   as in the paper's PHCpack runs. Re-tracking follows one fixed
-//!   schedule: at most two retries from the start solution, retry `k`
-//!   with steps ×0.25^k, step budget ×2^k and `k` more corrector
-//!   iterations.
+//! * [`TrackSettings`] — the one choice a caller makes: whether a
+//!   failed path is re-tracked. Every other continuation parameter
+//!   (step lengths and budgets, tolerances, the divergence threshold,
+//!   the endgame radius) is a fixed constant of the tracker, as in the
+//!   paper's PHCpack runs. Re-tracking follows one fixed schedule: at
+//!   most two retries from the start solution, retry `k` with steps
+//!   ×0.25^k, step budget ×2^k and `k` more corrector iterations.
 //!
 //! * [`cancel`] — cooperative cancellation tokens with deadlines,
-//!   consulted by continuation drivers at path boundaries.
+//!   consulted by continuation drivers at path boundaries;
+//! * [`trace`] — the hook through which a tracing layer records the
+//!   tracker's `track.path`, `retrack`, `predict` and `correct` spans.
 //!
 //! Paths that diverge to infinity are first-class citizens: the cyclic
 //! 10-roots and RPS experiments of the paper owe their load-balancing
@@ -49,14 +50,14 @@ mod path;
 mod predictor;
 mod settings;
 mod stats;
-mod trace;
+pub mod trace;
 mod workspace;
 
 pub use cancel::CancelToken;
 pub use homotopy::{Homotopy, LinearHomotopy};
 pub use newton::{newton_correct, newton_correct_with, NewtonOutcome};
 pub use path::{track_all, track_path, track_path_with, PathResult, PathStatus};
-pub use predictor::{tangent, tangent_into, Predictor};
+pub use predictor::{tangent, tangent_into};
 pub use settings::TrackSettings;
 pub use stats::TrackStats;
 pub use workspace::{HomotopyScratch, TrackWorkspace};

@@ -6,6 +6,7 @@
 
 use crate::homotopy::Homotopy;
 use crate::newton::newton_correct_with;
+use crate::predictor::predict_into;
 use crate::settings::{
     StepControl, TrackSettings, CORRECTOR_TOL, DIVERGENCE_THRESHOLD, ENDGAME_RADIUS, ENDGAME_TOL,
     EXPAND_FACTOR, FINAL_ITERS, FINAL_TOL, RETRIES, SHRINK_FACTOR,
@@ -85,9 +86,6 @@ pub struct PathResult {
 /// returned to it when the path ends, so repeated paths reuse them.
 struct Progress {
     x: Vec<Complex64>,
-    prev_x: Vec<Complex64>,
-    has_prev: bool,
-    prev_t: f64,
     t: f64,
     steps: usize,
     rejections: usize,
@@ -97,7 +95,7 @@ struct Progress {
 /// Tracks one path of `h` from the start solution `x0` (a solution of
 /// `H(·, 0) = 0`) towards `t = 1`.
 ///
-/// The loop predicts with the configured [`crate::Predictor`], corrects
+/// The loop predicts with one fourth-order Runge–Kutta step, corrects
 /// with Newton at fixed `t`, and adapts the step: a correction that
 /// converges within budget accepts the step (expanding after a streak),
 /// anything else rejects it and halves the step.
@@ -162,12 +160,11 @@ pub fn track_path_with<H: Homotopy + ?Sized>(
     ws: &mut TrackWorkspace,
 ) -> PathResult {
     let retries = if settings.retrack { RETRIES } else { 0 };
-    let predictor = settings.predictor;
     track_attempts(
         h,
         x0,
-        &StepControl::attempt(predictor, 0),
-        (1..=retries).map(|k| StepControl::attempt(predictor, k)),
+        &StepControl::attempt(0),
+        (1..=retries).map(StepControl::attempt),
         ws,
     )
 }
@@ -186,7 +183,7 @@ fn track_attempts<H: Homotopy + ?Sized>(
         if !matches!(result.status, PathStatus::Failed { .. }) {
             break;
         }
-        let _span = crate::trace::phase_span("retrack");
+        let _span = crate::trace::span("retrack", false);
         let mut retry = track_path_attempt(h, x0, &control, ws);
         // Fold the earlier attempts' cost into the surviving result so
         // TrackStats::record sees this path exactly once.
@@ -208,23 +205,18 @@ fn track_path_attempt<H: Homotopy + ?Sized>(
     ws: &mut TrackWorkspace,
 ) -> PathResult {
     let start_time = Instant::now();
-    let _span = crate::trace::phase_span("track.path");
+    let _span = crate::trace::span("track.path", false);
     ws.ensure(h.dim());
     // Borrow the state buffers out of the workspace for the duration of
     // this path (mem::take is free for Vec); they return at the end.
     let mut x = mem::take(&mut ws.state_x);
     x.clear();
     x.extend_from_slice(x0);
-    let mut prev_x = mem::take(&mut ws.state_prev);
-    prev_x.clear();
     let mut predicted = mem::take(&mut ws.state_pred);
     let mut x_before = mem::take(&mut ws.state_before);
     let mut norms = mem::take(&mut ws.endgame_norms);
     let mut p = Progress {
         x,
-        prev_x,
-        has_prev: false,
-        prev_t: 0.0,
         t: 0.0,
         steps: 0,
         rejections: 0,
@@ -255,7 +247,6 @@ fn track_path_attempt<H: Homotopy + ?Sized>(
         elapsed: start_time.elapsed(),
     };
     ws.state_x = p.x;
-    ws.state_prev = p.prev_x;
     ws.state_pred = predicted;
     ws.state_before = x_before;
     ws.endgame_norms = norms;
@@ -492,15 +483,12 @@ fn try_step<H: Homotopy + ?Sized>(
     let t_next = (p.t + step).min(1.0);
     predicted.clear();
     predicted.resize(h.dim(), Complex64::ZERO);
-    let prev = p.has_prev.then_some((p.prev_x.as_slice(), p.prev_t));
     let ok = {
-        let _span = crate::trace::step_span("predict");
-        control
-            .predictor
-            .predict_into(h, &p.x, p.t, t_next - p.t, prev, predicted, ws)
+        let _span = crate::trace::span("predict", true);
+        predict_into(h, &p.x, p.t, t_next - p.t, predicted, ws)
     };
     if ok && predicted.iter().all(|z| z.is_finite()) {
-        let _span = crate::trace::step_span("correct");
+        let _span = crate::trace::span("correct", true);
         let out = newton_correct_with(
             h,
             predicted,
@@ -516,12 +504,9 @@ fn try_step<H: Homotopy + ?Sized>(
             // onto another path, not a divergence: retry shorter.
             && !(h.regular_endpoints() && inf_norm(predicted) > DIVERGENCE_THRESHOLD);
         if accepted {
-            // prev ← x ← predicted, with the old prev buffer becoming
-            // the next prediction scratch.
-            mem::swap(&mut p.prev_x, &mut p.x);
+            // x ← predicted, with the old x buffer becoming the next
+            // prediction scratch.
             mem::swap(&mut p.x, predicted);
-            p.prev_t = p.t;
-            p.has_prev = true;
             p.t = t_next;
             p.steps += 1;
             StepOutcome::Accepted
@@ -558,7 +543,6 @@ pub fn track_all<H: Homotopy + ?Sized>(
 mod tests {
     use super::*;
     use crate::homotopy::LinearHomotopy;
-    use crate::predictor::Predictor;
     use pieri_num::{random_gamma, seeded_rng};
     use pieri_poly::{Poly, PolySystem};
 
@@ -765,32 +749,22 @@ mod tests {
         }
     }
 
+    /// The tracker's one predictor, Runge–Kutta, takes the three paths
+    /// of a cubic to three distinct roots of the target.
     #[test]
     fn all_predictors_reach_the_same_endpoints() {
         let (g, starts) = unity_start(3);
-        let f = univar(&[c(0.5, 0.25), c(-1.0, 0.5), c(0.0, -0.5), Complex64::ONE]);
+        let coeffs = [c(0.5, 0.25), c(-1.0, 0.5), c(0.0, -0.5), Complex64::ONE];
+        let f = univar(&coeffs);
         let mut rng = seeded_rng(103);
-        let gamma = random_gamma(&mut rng);
-        let mut endpoints: Vec<Vec<Complex64>> = Vec::new();
-        for predictor in [
-            Predictor::Secant,
-            Predictor::Tangent,
-            Predictor::RungeKutta4,
-        ] {
-            let h = LinearHomotopy::new(g.clone(), f.clone(), gamma);
-            let settings = TrackSettings {
-                predictor,
-                ..TrackSettings::default()
-            };
-            let (results, stats) = track_all(&h, &starts, &settings);
-            assert_eq!(stats.converged, 3, "{predictor:?}: {stats:?}");
-            let mut xs: Vec<Complex64> = results.iter().map(|r| r.x[0]).collect();
-            xs.sort_by(|a, b| a.re.total_cmp(&b.re).then(a.im.total_cmp(&b.im)));
-            endpoints.push(xs);
-        }
-        for k in 1..endpoints.len() {
-            for (a, b) in endpoints[0].iter().zip(endpoints[k].iter()) {
-                assert!(a.dist(*b) < 1e-7);
+        let h = LinearHomotopy::new(g, f, random_gamma(&mut rng));
+        let (results, stats) = track_all(&h, &starts, &TrackSettings::default());
+        assert_eq!(stats.converged, 3, "{stats:?}");
+        let target = pieri_poly::UniPoly::new(coeffs.to_vec());
+        for (i, r) in results.iter().enumerate() {
+            assert!(target.eval(r.x[0]).norm() < 1e-9, "{:?}", r.x);
+            for other in &results[..i] {
+                assert!(r.x[0].dist(other.x[0]) > 1e-3, "two paths met");
             }
         }
     }
@@ -799,13 +773,13 @@ mod tests {
     fn starved(max_steps: usize) -> StepControl {
         StepControl {
             max_steps,
-            ..StepControl::attempt(Predictor::RungeKutta4, 0)
+            ..StepControl::attempt(0)
         }
     }
 
     /// The schedule's retries, as re-tracking runs them.
     fn retries() -> impl Iterator<Item = StepControl> {
-        (1..=RETRIES).map(|k| StepControl::attempt(Predictor::RungeKutta4, k))
+        (1..=RETRIES).map(StepControl::attempt)
     }
 
     #[test]
@@ -876,7 +850,7 @@ mod tests {
         let mut rng = seeded_rng(108);
         let h = LinearHomotopy::new(g, f, random_gamma(&mut rng));
         let settings = TrackSettings::default();
-        let first = StepControl::attempt(settings.predictor, 0);
+        let first = StepControl::attempt(0);
         let mut ws = TrackWorkspace::new();
         for s in &starts {
             let a = track_path_with(&h, s, &settings, &mut ws);

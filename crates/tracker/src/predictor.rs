@@ -1,8 +1,8 @@
-//! Predictors: secant, tangent (Euler) and fourth-order Runge–Kutta.
+//! The predictor: one classical fourth-order Runge–Kutta step.
 //!
 //! lint:hot-path — the `*_into` entry points run once per step and must
-//! not allocate; only the documented allocating convenience wrappers
-//! ([`tangent`], [`Predictor::predict`]) may, and they say so inline.
+//! not allocate; only the documented allocating convenience wrapper
+//! [`tangent`] may, and it says so inline.
 //!
 //! The solution path `x(t)` of `H(x(t), t) = 0` obeys the Davidenko ODE
 //!
@@ -11,28 +11,15 @@
 //! ```
 //!
 //! so a predictor is an ODE step; the Newton corrector then pulls the
-//! prediction back onto the path. Higher-order predictors buy larger steps
-//! at more Jacobian solves per step — the `tracker` criterion bench
-//! measures that trade-off on cyclic-n paths.
+//! prediction back onto the path. Every path the workspace tracks (Pieri
+//! tree jobs, instance continuations, the `systems` experiments) steps
+//! with Runge–Kutta, four tangent solves per step. A different step rule
+//! replaces [`predict_into`] rather than joining it.
 
 use crate::homotopy::Homotopy;
 use crate::workspace::TrackWorkspace;
 use pieri_linalg::Lu;
 use pieri_num::Complex64;
-
-/// Predictor order used by [`crate::track_path`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Predictor {
-    /// Extrapolate through the two most recent points. One extra point of
-    /// memory, zero extra solves; PHCpack's default cheap predictor.
-    Secant,
-    /// First-order tangent (Euler) step: one linear solve.
-    Tangent,
-    /// Classical fourth-order Runge–Kutta on the Davidenko ODE: four
-    /// linear solves per step.
-    #[default]
-    RungeKutta4,
-}
 
 /// Solves the Davidenko system for the tangent `dx/dt` at `(x, t)`.
 ///
@@ -80,118 +67,54 @@ pub fn tangent_into<H: Homotopy + ?Sized>(
     true
 }
 
-impl Predictor {
-    /// Predicts `x(t + dt)` from `x(t)`; `prev` is the previous accepted
-    /// point `(x_prev, t_prev)` when one exists (used by the secant rule).
-    ///
-    /// Returns `None` when a required Jacobian is singular; the driver
-    /// treats that as a failed step and shrinks `dt`.
-    pub fn predict<H: Homotopy + ?Sized>(
-        self,
-        h: &H,
-        x: &[Complex64],
-        t: f64,
-        dt: f64,
-        prev: Option<(&[Complex64], f64)>,
-    ) -> Option<Vec<Complex64>> {
-        let mut ws = TrackWorkspace::new();
-        // lint:allow(hot-path-alloc) — allocating convenience wrapper;
-        // the tracker itself uses `predict_into` with a reused workspace.
-        let mut out = vec![Complex64::ZERO; h.dim()];
-        self.predict_into(h, x, t, dt, prev, &mut out, &mut ws)
-            .then_some(out)
-    }
-
-    /// [`Predictor::predict`] against a caller-owned workspace: the
-    /// Runge–Kutta stages, Davidenko solves and the prediction itself all
-    /// live in reused buffers, so steady-state prediction performs no
-    /// heap allocation. Returns `false` (leaving `out` unspecified) when
-    /// a required Jacobian is singular.
-    ///
-    /// # Panics
-    /// Panics when `out.len() != h.dim()`.
-    #[allow(clippy::too_many_arguments)] // mirrors `predict` + (out, ws)
-    pub fn predict_into<H: Homotopy + ?Sized>(
-        self,
-        h: &H,
-        x: &[Complex64],
-        t: f64,
-        dt: f64,
-        prev: Option<(&[Complex64], f64)>,
-        out: &mut [Complex64],
-        ws: &mut TrackWorkspace,
-    ) -> bool {
-        let n = h.dim();
-        assert_eq!(out.len(), n, "predict_into: output length mismatch");
-        ws.ensure(n);
-        match self {
-            Predictor::Secant => match prev {
-                Some((xp, tp)) if (t - tp).abs() > 1e-14 => {
-                    let scale = dt / (t - tp);
-                    for i in 0..n {
-                        out[i] = x[i] + (x[i] - xp[i]).scale(scale);
-                    }
-                    true
-                }
-                // No history yet: fall back to a tangent step.
-                _ => Predictor::Tangent.predict_into(h, x, t, dt, None, out, ws),
-            },
-            Predictor::Tangent => {
-                // Solve into the k1 stage buffer (taken out so the
-                // workspace can be lent to the tangent solve).
-                let mut k1 = std::mem::take(&mut ws.k1);
-                let ok = tangent_into(h, x, t, &mut k1, ws);
-                if ok {
-                    for i in 0..n {
-                        out[i] = x[i] + k1[i].scale(dt);
-                    }
-                }
-                ws.k1 = k1;
-                ok
-            }
-            Predictor::RungeKutta4 => {
-                let mut k1 = std::mem::take(&mut ws.k1);
-                let mut k2 = std::mem::take(&mut ws.k2);
-                let mut k3 = std::mem::take(&mut ws.k3);
-                let mut k4 = std::mem::take(&mut ws.k4);
-                let mut xmid = std::mem::take(&mut ws.xmid);
-                let ok = (|| {
-                    if !tangent_into(h, x, t, &mut k1, ws) {
-                        return false;
-                    }
-                    for i in 0..n {
-                        xmid[i] = x[i] + k1[i].scale(dt / 2.0);
-                    }
-                    if !tangent_into(h, &xmid, t + dt / 2.0, &mut k2, ws) {
-                        return false;
-                    }
-                    for i in 0..n {
-                        xmid[i] = x[i] + k2[i].scale(dt / 2.0);
-                    }
-                    if !tangent_into(h, &xmid, t + dt / 2.0, &mut k3, ws) {
-                        return false;
-                    }
-                    for i in 0..n {
-                        xmid[i] = x[i] + k3[i].scale(dt);
-                    }
-                    if !tangent_into(h, &xmid, t + dt, &mut k4, ws) {
-                        return false;
-                    }
-                    for i in 0..n {
-                        out[i] = x[i]
-                            + (k1[i] + k2[i].scale(2.0) + k3[i].scale(2.0) + k4[i]).scale(dt / 6.0);
-                    }
-                    true
-                })();
-                ws.k1 = k1;
-                ws.k2 = k2;
-                ws.k3 = k3;
-                ws.k4 = k4;
-                ws.xmid = xmid;
-                ok
-            }
+/// Predicts `x(t + dt)` from `x(t)` into `out` with one classical
+/// fourth-order Runge–Kutta step on the Davidenko ODE: four tangent
+/// solves, with the stages and the midpoint in the workspace's reused
+/// buffers, so steady-state prediction performs no heap allocation.
+/// Returns `false` (leaving `out` unspecified) when a Jacobian is
+/// singular to working precision; the driver then rejects the step and
+/// shrinks `dt`.
+///
+/// # Panics
+/// Panics when `out.len() != h.dim()`.
+pub(crate) fn predict_into<H: Homotopy + ?Sized>(
+    h: &H,
+    x: &[Complex64],
+    t: f64,
+    dt: f64,
+    out: &mut [Complex64],
+    ws: &mut TrackWorkspace,
+) -> bool {
+    let n = h.dim();
+    assert_eq!(out.len(), n, "predict_into: output length mismatch");
+    ws.ensure(n);
+    // The stages leave the workspace while it is lent to the solves.
+    let mut stages = std::mem::take(&mut ws.stages);
+    let [k1, k2, k3, k4, xmid] = &mut stages;
+    let ok = tangent_into(h, x, t, k1, ws)
+        && tangent_into(h, offset(xmid, x, k1, dt / 2.0), t + dt / 2.0, k2, ws)
+        && tangent_into(h, offset(xmid, x, k2, dt / 2.0), t + dt / 2.0, k3, ws)
+        && tangent_into(h, offset(xmid, x, k3, dt), t + dt, k4, ws);
+    if ok {
+        for i in 0..n {
+            out[i] = x[i] + (k1[i] + k2[i].scale(2.0) + k3[i].scale(2.0) + k4[i]).scale(dt / 6.0);
         }
     }
+    ws.stages = stages;
+    ok
+}
+
+/// Sets `xmid = x + s·k` and returns it.
+fn offset<'a>(
+    xmid: &'a mut [Complex64],
+    x: &[Complex64],
+    k: &[Complex64],
+    s: f64,
+) -> &'a [Complex64] {
+    for ((m, a), b) in xmid.iter_mut().zip(x).zip(k) {
+        *m = *a + b.scale(s);
+    }
+    xmid
 }
 
 #[cfg(test)]
@@ -231,11 +154,19 @@ mod tests {
         let dt = 0.2;
         let x0 = [c((1.0f64 + 3.0 * t).sqrt(), 0.0)];
         let exact = (1.0f64 + 3.0 * (t + dt)).sqrt();
-        let euler = Predictor::Tangent.predict(&h, &x0, t, dt, None).unwrap();
-        let rk4 = Predictor::RungeKutta4
-            .predict(&h, &x0, t, dt, None)
-            .unwrap();
-        let e_euler = (euler[0].re - exact).abs();
+        // A first-order (Euler) step along the tangent, against the
+        // Runge–Kutta step.
+        let euler = x0[0] + tangent(&h, &x0, t).unwrap()[0].scale(dt);
+        let mut rk4 = [Complex64::ZERO];
+        assert!(predict_into(
+            &h,
+            &x0,
+            t,
+            dt,
+            &mut rk4,
+            &mut TrackWorkspace::new()
+        ));
+        let e_euler = (euler.re - exact).abs();
         let e_rk4 = (rk4[0].re - exact).abs();
         assert!(
             e_rk4 < e_euler / 20.0,
@@ -245,30 +176,19 @@ mod tests {
     }
 
     #[test]
-    fn secant_uses_history() {
-        let h = sqrt_homotopy();
-        let t0 = 0.1;
-        let t1 = 0.2;
-        let x0 = [c((1.0f64 + 3.0 * t0).sqrt(), 0.0)];
-        let x1 = [c((1.0f64 + 3.0 * t1).sqrt(), 0.0)];
-        let dt = 0.1;
-        let pred = Predictor::Secant
-            .predict(&h, &x1, t1, dt, Some((&x0[..], t0)))
-            .unwrap();
-        let exact = (1.0f64 + 3.0 * (t1 + dt)).sqrt();
-        assert!((pred[0].re - exact).abs() < 2e-2);
-        // Without history it still produces something sensible (tangent).
-        let pred0 = Predictor::Secant.predict(&h, &x1, t1, dt, None).unwrap();
-        assert!((pred0[0].re - exact).abs() < 2e-2);
-    }
-
-    #[test]
     fn singular_jacobian_yields_none() {
         let h = sqrt_homotopy();
         // Jacobian 2x is singular at x = 0.
         assert!(tangent(&h, &[Complex64::ZERO], 0.5).is_none());
-        assert!(Predictor::RungeKutta4
-            .predict(&h, &[Complex64::ZERO], 0.5, 0.1, None)
-            .is_none());
+        let mut out = [Complex64::ONE];
+        let mut ws = TrackWorkspace::new();
+        assert!(!predict_into(
+            &h,
+            &[Complex64::ZERO],
+            0.5,
+            0.1,
+            &mut out,
+            &mut ws
+        ));
     }
 }

@@ -1,21 +1,17 @@
 //! The continuation parameters of the adaptive tracker.
 //!
-//! A caller chooses two things ([`TrackSettings`]): the predictor and
-//! whether failed paths are re-tracked. Every other parameter is a
-//! constant below: PHCpack's conservative continuation parameters,
-//! which track every system in this workspace's test suite reliably.
-
-use crate::predictor::Predictor;
+//! A caller chooses one thing ([`TrackSettings`]): whether failed
+//! paths are re-tracked. Every other parameter is a constant below:
+//! PHCpack's conservative continuation parameters, which track every
+//! system in this workspace's test suite reliably. The predictor is
+//! fixed too: one fourth-order Runge–Kutta step (`predictor.rs`).
 
 /// What a caller chooses about tracking a path with
 /// [`crate::track_path`].
 ///
-/// The defaults are the fourth-order Runge–Kutta predictor and no
-/// re-tracking.
+/// The default is no re-tracking.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TrackSettings {
-    /// Predictor order.
-    pub predictor: Predictor,
     /// Re-track a path that ends [`crate::PathStatus::Failed`] (step
     /// control collapsed, step budget exhausted) from its start
     /// solution, up to twice. Retry `k` tracks with steps `0.25^k` times
@@ -71,12 +67,10 @@ pub(crate) const ENDGAME_TOL: f64 = 1e-8;
 /// Retries of a failed path when [`TrackSettings::retrack`] is on.
 pub(crate) const RETRIES: usize = 2;
 
-/// How one tracking attempt steps: the predictor and the step-size
-/// parameters that a re-track tightens.
+/// How one tracking attempt steps: the step-size parameters that a
+/// re-track tightens.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct StepControl {
-    /// Predictor order.
-    pub(crate) predictor: Predictor,
     /// Initial step length in `t`.
     pub(crate) initial_step: f64,
     /// Smallest permitted step; when the controller wants to go below
@@ -100,10 +94,9 @@ impl StepControl {
     /// minimum step lets the controller crawl past the region that
     /// defeated the first attempt), step budget ×2^k, corrector and
     /// expansion budgets +k.
-    pub(crate) fn attempt(predictor: Predictor, k: usize) -> StepControl {
+    pub(crate) fn attempt(k: usize) -> StepControl {
         let shrink = 0.25f64.powi(k as i32);
         StepControl {
-            predictor,
             initial_step: 0.05 * shrink,
             min_step: 1e-10 * shrink,
             max_step: 0.1 * shrink,
@@ -121,9 +114,8 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let s = TrackSettings::default();
-        assert_eq!(s.predictor, Predictor::RungeKutta4);
         assert!(!s.retrack, "re-tracking is opt-in");
-        let first = StepControl::attempt(s.predictor, 0);
+        let first = StepControl::attempt(0);
         assert!(first.min_step < first.initial_step && first.initial_step <= first.max_step);
         const {
             assert!(SHRINK_FACTOR < 1.0 && EXPAND_FACTOR > 1.0);
@@ -134,7 +126,7 @@ mod tests {
 
     #[test]
     fn retrack_tightening_compounds() {
-        let [base, t1, t2] = [0, 1, 2].map(|k| StepControl::attempt(Predictor::RungeKutta4, k));
+        let [base, t1, t2] = [0, 1, 2].map(StepControl::attempt);
         assert!(t1.initial_step < base.initial_step);
         assert!(t2.initial_step < t1.initial_step);
         assert!(t1.min_step < base.min_step && t2.min_step < t1.min_step);

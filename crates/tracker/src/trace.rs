@@ -1,49 +1,50 @@
-//! Zero-cost-when-off span shims for the tracker phases.
+//! The span hook over the tracker's phases.
 //!
-//! With the `trace` feature on, these record `retrack` and `track.path`
-//! spans (category `tracker`) on the process-global [`pieri_trace`]
-//! layer, plus per-step `predict`/`correct` spans when the installed
-//! config asks for *deep* tracing; the spans inherit the worker
-//! thread's current trace id, set by the service's job scope. Without
-//! the feature every helper is an `#[inline(always)]` no-op — the
-//! predictor–corrector loop carries no span branches, preserving the
-//! crate's zero-allocation hot path exactly.
+//! The tracker opens a `track.path` span around every tracking attempt,
+//! a `retrack` span around every re-track, and *deep* `predict` and
+//! `correct` spans around every step. It records none of them itself:
+//! a tracing layer routes them with [`set_hook`], once per process, and
+//! the service's engine points the hook at `pieri-trace` when it starts.
+//! Until a hook is set a span site costs one atomic load, and the
+//! tracker depends on no tracing crate.
 
-#[cfg(not(feature = "trace"))]
-pub(crate) use disabled::*;
-#[cfg(feature = "trace")]
-pub(crate) use enabled::*;
+use std::sync::OnceLock;
 
-#[cfg(feature = "trace")]
-mod enabled {
-    /// An RAII span over one tracker phase on this thread, tagged with
-    /// the thread's current trace id.
-    pub(crate) fn phase_span(name: &'static str) -> pieri_trace::SpanGuard {
-        pieri_trace::span(name, "tracker")
-    }
+/// The `enter` and `exit` callbacks of [`set_hook`].
+type Hook = (fn(&'static str, bool) -> bool, fn());
 
-    /// A *per-step* span (`predict`/`correct`): recorded only under
-    /// `TraceConfig { deep: true, .. }`. These sites fire thousands of
-    /// times per solve, so in the default config the cost here is one
-    /// relaxed atomic load and an inert guard — that is what keeps the
-    /// warm-path trace overhead under 2%.
-    pub(crate) fn step_span(name: &'static str) -> pieri_trace::SpanGuard {
-        pieri_trace::deep_span(name, "tracker")
+static HOOK: OnceLock<Hook> = OnceLock::new();
+
+/// Routes the tracker's spans to a tracing layer. `enter(name, deep)`
+/// opens a span named `name` on the calling thread and returns whether
+/// it opened one; `deep` marks the per-step `predict`/`correct` sites,
+/// which fire thousands of times per solve. `exit()` closes the
+/// innermost span that `enter` opened on the calling thread; the
+/// tracker calls it once for every `enter` that returned `true`, in
+/// reverse order.
+///
+/// The hook is set once per process: a later call changes nothing.
+pub fn set_hook(enter: fn(&'static str, bool) -> bool, exit: fn()) {
+    let _ = HOOK.set((enter, exit));
+}
+
+/// An open tracker span; dropping it closes the span.
+#[must_use = "bind the guard (`let _span = …`) or the span covers nothing"]
+pub(crate) struct SpanGuard(Option<fn()>);
+
+impl Drop for SpanGuard {
+    fn drop(&mut self) {
+        if let Some(exit) = self.0 {
+            exit();
+        }
     }
 }
 
-#[cfg(not(feature = "trace"))]
-mod disabled {
-    /// Stand-in span guard; dropping it does nothing.
-    pub(crate) struct SpanGuard {}
-
-    #[inline(always)]
-    pub(crate) fn phase_span(_name: &'static str) -> SpanGuard {
-        SpanGuard {}
-    }
-
-    #[inline(always)]
-    pub(crate) fn step_span(_name: &'static str) -> SpanGuard {
-        SpanGuard {}
-    }
+/// Opens the span `name` through the hook, a deep one when `deep`.
+#[inline]
+pub(crate) fn span(name: &'static str, deep: bool) -> SpanGuard {
+    SpanGuard(
+        HOOK.get()
+            .and_then(|&(enter, exit)| enter(name, deep).then_some(exit)),
+    )
 }

@@ -73,16 +73,11 @@ pub struct TrackWorkspace {
     pub(crate) jac: CMat,
     /// Reusable LU storage for the Newton/tangent solves.
     pub(crate) lu: Lu,
-    /// Runge–Kutta stages and midpoint of the predictor.
-    pub(crate) k1: Vec<Complex64>,
-    pub(crate) k2: Vec<Complex64>,
-    pub(crate) k3: Vec<Complex64>,
-    pub(crate) k4: Vec<Complex64>,
-    pub(crate) xmid: Vec<Complex64>,
-    /// Path state: current point, previous accepted point, predicted
-    /// point, and the endgame's previous iterate.
+    /// The predictor's Runge–Kutta stages `k1..k4` and its midpoint.
+    pub(crate) stages: [Vec<Complex64>; 5],
+    /// Path state: current point, predicted point, and the endgame's
+    /// previous iterate.
     pub(crate) state_x: Vec<Complex64>,
-    pub(crate) state_prev: Vec<Complex64>,
     pub(crate) state_pred: Vec<Complex64>,
     pub(crate) state_before: Vec<Complex64>,
     /// Endgame norm history (capacity retained across paths).
@@ -107,13 +102,8 @@ impl TrackWorkspace {
             ht: Vec::new(),
             jac: CMat::zeros(0, 0),
             lu: Lu::default(),
-            k1: Vec::new(),
-            k2: Vec::new(),
-            k3: Vec::new(),
-            k4: Vec::new(),
-            xmid: Vec::new(),
+            stages: Default::default(),
             state_x: Vec::new(),
-            state_prev: Vec::new(),
             state_pred: Vec::new(),
             state_before: Vec::new(),
             endgame_norms: Vec::new(),
@@ -127,16 +117,8 @@ impl TrackWorkspace {
             return;
         }
         self.dim = n;
-        for buf in [
-            &mut self.fx,
-            &mut self.rhs,
-            &mut self.ht,
-            &mut self.k1,
-            &mut self.k2,
-            &mut self.k3,
-            &mut self.k4,
-            &mut self.xmid,
-        ] {
+        let vectors = [&mut self.fx, &mut self.rhs, &mut self.ht];
+        for buf in vectors.into_iter().chain(&mut self.stages) {
             buf.clear();
             buf.resize(n, Complex64::ZERO);
         }

@@ -7,8 +7,7 @@ use pieri_linalg::CMat;
 use pieri_num::{random_complex, random_gamma, seeded_rng, Complex64};
 use pieri_poly::{Poly, PolySystem};
 use pieri_tracker::{
-    track_path_with, Homotopy, HomotopyScratch, LinearHomotopy, Predictor, TrackSettings,
-    TrackWorkspace,
+    track_path_with, Homotopy, HomotopyScratch, LinearHomotopy, TrackSettings, TrackWorkspace,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -132,29 +131,20 @@ fn fused_evaluations_per_path_are_newton_iterations_plus_endpoint_residual() {
     let (inner, starts) = two_quadrics(830);
     let h = counting(inner);
     let mut ws = TrackWorkspace::new();
-    for predictor in [
-        Predictor::Secant,
-        Predictor::Tangent,
-        Predictor::RungeKutta4,
-    ] {
-        let settings = TrackSettings {
-            predictor,
-            ..TrackSettings::default()
-        };
-        for s in &starts {
-            let before = h.eval_and_jacobian.load(Ordering::Relaxed);
-            let r = track_path_with(&h, s, &settings, &mut ws);
-            let calls = h.eval_and_jacobian.load(Ordering::Relaxed) - before;
-            assert!(r.status.is_converged(), "{predictor:?}: {:?}", r.status);
-            assert!(r.steps > 0);
-            assert_eq!(
-                calls,
-                r.newton_iters + 1,
-                "{predictor:?} from {s:?}: {} steps, {} rejections",
-                r.steps,
-                r.rejections
-            );
-        }
+    let settings = TrackSettings::default();
+    for s in &starts {
+        let before = h.eval_and_jacobian.load(Ordering::Relaxed);
+        let r = track_path_with(&h, s, &settings, &mut ws);
+        let calls = h.eval_and_jacobian.load(Ordering::Relaxed) - before;
+        assert!(r.status.is_converged(), "{:?}", r.status);
+        assert!(r.steps > 0);
+        assert_eq!(
+            calls,
+            r.newton_iters + 1,
+            "from {s:?}: {} steps, {} rejections",
+            r.steps,
+            r.rejections
+        );
     }
 }
 
@@ -165,40 +155,27 @@ fn skipping_the_endgame_keeps_the_budget_in_fewer_steps() {
     let skip = counting(Regular(quadratic(831).0));
     assert!(!endgame.regular_endpoints() && skip.regular_endpoints());
     let mut ws = TrackWorkspace::new();
-    for predictor in [
-        Predictor::Secant,
-        Predictor::Tangent,
-        Predictor::RungeKutta4,
-    ] {
-        let settings = TrackSettings {
-            predictor,
-            ..TrackSettings::default()
-        };
-        for s in &starts {
-            let with = track_path_with(&endgame, s, &settings, &mut ws);
-            let before = skip.eval_and_jacobian.load(Ordering::Relaxed);
-            let r = track_path_with(&skip, s, &settings, &mut ws);
-            let calls = skip.eval_and_jacobian.load(Ordering::Relaxed) - before;
-            assert!(r.status.is_converged(), "{predictor:?}: {:?}", r.status);
-            assert!(
-                with.status.is_converged(),
-                "{predictor:?}: {:?}",
-                with.status
-            );
-            assert!((r.x[0].norm() - 2.0).abs() < 1e-10, "{:?}", r.x);
-            assert_eq!(
-                calls,
-                r.newton_iters + 1,
-                "{predictor:?} from {s:?}: {} steps, {} rejections",
-                r.steps,
-                r.rejections
-            );
-            assert!(
-                r.steps < with.steps,
-                "{predictor:?} from {s:?}: {} steps without the endgame, {} with it",
-                r.steps,
-                with.steps
-            );
-        }
+    let settings = TrackSettings::default();
+    for s in &starts {
+        let with = track_path_with(&endgame, s, &settings, &mut ws);
+        let before = skip.eval_and_jacobian.load(Ordering::Relaxed);
+        let r = track_path_with(&skip, s, &settings, &mut ws);
+        let calls = skip.eval_and_jacobian.load(Ordering::Relaxed) - before;
+        assert!(r.status.is_converged(), "{:?}", r.status);
+        assert!(with.status.is_converged(), "{:?}", with.status);
+        assert!((r.x[0].norm() - 2.0).abs() < 1e-10, "{:?}", r.x);
+        assert_eq!(
+            calls,
+            r.newton_iters + 1,
+            "from {s:?}: {} steps, {} rejections",
+            r.steps,
+            r.rejections
+        );
+        assert!(
+            r.steps < with.steps,
+            "from {s:?}: {} steps without the endgame, {} with it",
+            r.steps,
+            with.steps
+        );
     }
 }

@@ -6,8 +6,8 @@
 //! a degree-5 target with known roots, and to the deficient target
 //! `x − 1` (one path converges, the other diverges), each tracked as is
 //! and through a wrapper that claims regular endpoints (no endgame),
-//! under each of the three predictors; and the path of `(x − 1)²` that
-//! stays on the double root, with re-tracking on.
+//! under the tracker's one predictor (Runge–Kutta); and the path of
+//! `(x − 1)²` that stays on the double root, with re-tracking on.
 //!
 //! A change that must keep every output bit (moving a continuation
 //! parameter, restructuring the step control) keeps the constants; any
@@ -18,7 +18,7 @@ use pieri_linalg::CMat;
 use pieri_num::{random_gamma, seeded_rng, Complex64};
 use pieri_poly::{Poly, PolySystem, UniPoly};
 use pieri_tracker::{
-    track_path_with, Homotopy, LinearHomotopy, PathResult, PathStatus, Predictor, TrackSettings,
+    track_path_with, Homotopy, LinearHomotopy, PathResult, PathStatus, TrackSettings,
     TrackWorkspace,
 };
 
@@ -157,39 +157,19 @@ fn homotopies() -> Vec<(LinearHomotopy, Vec<Vec<Complex64>>)> {
 
 #[test]
 fn paths_are_bit_identical_under_every_predictor() {
-    let with = |predictor| TrackSettings {
-        predictor,
-        ..TrackSettings::default()
-    };
-    // The defaults track with the fourth-order Runge–Kutta predictor.
-    let settings = [
-        TrackSettings::default(),
-        with(Predictor::Secant),
-        with(Predictor::Tangent),
-    ];
+    let settings = TrackSettings::default();
     let mut ws = TrackWorkspace::new();
-    let hashes = settings.map(|settings| {
-        let mut hash = Fnv::new();
-        for (h, starts) in homotopies() {
-            for s in &starts {
-                hash.path(&track_path_with(&h, s, &settings, &mut ws));
-            }
-            let h = Regular(h);
-            for s in &starts {
-                hash.path(&track_path_with(&h, s, &settings, &mut ws));
-            }
+    let mut hash = Fnv::new();
+    for (h, starts) in homotopies() {
+        for s in &starts {
+            hash.path(&track_path_with(&h, s, &settings, &mut ws));
         }
-        hash.0
-    });
-    assert_eq!(
-        hashes,
-        [
-            5_019_999_670_298_575_435,
-            6_613_646_571_393_421_083,
-            16_578_306_883_716_386_080,
-        ],
-        "path bits moved (Runge–Kutta, secant, tangent)"
-    );
+        let h = Regular(h);
+        for s in &starts {
+            hash.path(&track_path_with(&h, s, &settings, &mut ws));
+        }
+    }
+    assert_eq!(hash.0, 5_019_999_670_298_575_435, "path bits moved");
 }
 
 #[test]
@@ -199,10 +179,7 @@ fn retracked_path_is_bit_identical() {
     let (g, starts) = unity_start(2);
     let f = univar(&[Complex64::ONE, c(-2.0, 0.0), Complex64::ONE]);
     let h = LinearHomotopy::new(g, f, random_gamma(&mut seeded_rng(100)));
-    let settings = TrackSettings {
-        retrack: true,
-        ..TrackSettings::default()
-    };
+    let settings = TrackSettings { retrack: true };
     let r = track_path_with(&h, &starts[0], &settings, &mut TrackWorkspace::new());
     assert!(matches!(r.status, PathStatus::Failed { .. }), "{r:?}");
     assert_eq!(r.attempts, 3);

@@ -5,7 +5,7 @@
 use pieri_num::{random_gamma, seeded_rng, Complex64};
 use pieri_poly::{Poly, PolySystem};
 use pieri_tracker::{
-    newton_correct, newton_correct_with, track_path, track_path_with, LinearHomotopy, Predictor,
+    newton_correct, newton_correct_with, track_path, track_path_with, LinearHomotopy,
     TrackSettings, TrackWorkspace,
 };
 
@@ -74,32 +74,6 @@ fn track_path_with_matches_track_path_bitwise() {
         assert_eq!(fresh.rejections, shared.rejections);
         assert_eq!(fresh.newton_iters, shared.newton_iters);
         assert_eq!(fresh.residual, shared.residual);
-    }
-}
-
-#[test]
-fn predict_into_matches_predict_for_all_orders() {
-    let (h, starts) = setup(3, 802);
-    let mut ws = TrackWorkspace::new();
-    let x = &starts[0];
-    let prev_x = [x[0] * c(0.99, 0.01)];
-    for predictor in [
-        Predictor::Secant,
-        Predictor::Tangent,
-        Predictor::RungeKutta4,
-    ] {
-        for prev in [None, Some((&prev_x[..], 0.05f64))] {
-            let reference = predictor.predict(&h, x, 0.1, 0.05, prev);
-            let mut out = vec![Complex64::ZERO; 1];
-            let ok = predictor.predict_into(&h, x, 0.1, 0.05, prev, &mut out, &mut ws);
-            match reference {
-                Some(v) => {
-                    assert!(ok, "{predictor:?}");
-                    assert_eq!(v, out, "{predictor:?}: bitwise identical prediction");
-                }
-                None => assert!(!ok, "{predictor:?}"),
-            }
-        }
     }
 }
 
