@@ -99,6 +99,8 @@ fn service_lock_rank_annotations_cover_the_runtime() {
         "engine-handles",
         "http-accept",
         "client-conn",
+        "chaos-plan",
+        "chaos-rng",
     ] {
         assert!(
             names.contains(expected),

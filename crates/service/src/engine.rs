@@ -739,10 +739,10 @@ fn worker_loop(shared: &Arc<Shared>, id: usize, generation: u64) {
         // chaos: die after claiming — the supervisor must requeue the
         // claim replay-safely (its solver never ran).
         crate::chaos::panic_site("worker.panic.job");
-        if let Some(hit) = crate::chaos::fault("worker.wedge") {
+        if let Some(hit) = crate::chaos::fires("worker.wedge") {
             std::thread::sleep(Duration::from_millis(hit.param_or(500)));
         }
-        if let Some(hit) = crate::chaos::fault("worker.delay") {
+        if let Some(hit) = crate::chaos::fires("worker.delay") {
             std::thread::sleep(Duration::from_millis(hit.param_or(10)));
         }
         let queue_wait = enqueued.elapsed();

@@ -48,10 +48,10 @@
 //! case, so a retrying client never loses a request across a restart.
 //!
 //! The poll and the socket syscalls on connections go through
-//! [`crate::chaos`]: under the `chaos` feature an installed fault plan
-//! can inject spurious wakeups, `EAGAIN` storms, short reads/writes,
-//! and dropped accepts; without the feature the shims inline away to
-//! the bare syscalls.
+//! [`crate::chaos`]: an installed fault plan can inject spurious
+//! wakeups, `EAGAIN` storms, short reads/writes, and dropped accepts;
+//! with no plan installed each site costs one atomic load before the
+//! bare syscall.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{TcpListener, TcpStream};
@@ -371,7 +371,7 @@ impl Reactor {
     pub(crate) fn run(mut self) {
         let mut events = Events::with_capacity(512);
         while !self.stop.load(Ordering::SeqCst) {
-            // lint:allow(no-blocking-in-nonblocking) — epoll_wait with a bounded timeout; the chaos-feature hook takes one bounded registry lock
+            // lint:allow(no-blocking-in-nonblocking) — epoll_wait with a bounded timeout; the fault site takes one bounded registry lock, only while a fault plan is installed
             let Ok(ready) = crate::chaos::poll(&self.poll, &mut events, POLL_TICK) else {
                 break;
             };
@@ -443,7 +443,8 @@ impl Reactor {
                     Err(_) => return,
                 }
             };
-            if crate::chaos::accept_dropped() {
+            // lint:allow(no-blocking-in-nonblocking) — fault site: one atomic load with no plan installed, one bounded registry lock while one is
+            if crate::chaos::fires("sock.accept.fail").is_some() {
                 // Injected accept failure: the peer sees a reset before
                 // any byte is answered — its replay-safe retry case.
                 continue;
@@ -580,7 +581,7 @@ impl Reactor {
             };
             let mut chunk = [0u8; READ_CHUNK];
             loop {
-                // lint:allow(no-blocking-in-nonblocking) — nonblocking read (chaos shim passthrough): WouldBlock instead of parking
+                // lint:allow(no-blocking-in-nonblocking) — nonblocking read (fault site, bare read with no plan installed): WouldBlock instead of parking
                 match crate::chaos::sock_read(&mut conn.stream, &mut chunk) {
                     Ok(0) => {
                         eof = true;
@@ -752,9 +753,9 @@ impl Reactor {
                 let suffix = &path["/v1/trace/".len()..];
                 let found = pieri_trace::parse_trace_id(suffix)
                     // lint:allow(no-blocking-in-nonblocking) — trace_spans is a bounded copy under the trace-store lock
-                    .and_then(|id| pieri_trace::trace_spans(id).map(|spans| (id, spans)));
+                    .and_then(|id| pieri_trace::trace_spans(id).map(|trace| (id, trace)));
                 match found {
-                    Some((id, spans)) => ready(200, wire::trace_to_json(id, &spans)),
+                    Some((id, trace)) => ready(200, wire::trace_to_json(id, &trace)),
                     None => {
                         // Unknown, evicted, malformed, or tracing off:
                         // all answer a structured 404.
@@ -972,7 +973,7 @@ impl Reactor {
             }
             let mut dead = false;
             while conn.written < conn.write_buf.len() {
-                // lint:allow(no-blocking-in-nonblocking) — nonblocking write (chaos shim passthrough): WouldBlock instead of parking
+                // lint:allow(no-blocking-in-nonblocking) — nonblocking write (fault site, bare write with no plan installed): WouldBlock instead of parking
                 match crate::chaos::sock_write(&mut conn.stream, &conn.write_buf[conn.written..]) {
                     Ok(0) => {
                         dead = true;
@@ -991,7 +992,7 @@ impl Reactor {
                 }
             }
             if conn.written == conn.write_buf.len() {
-                // lint:allow(no-blocking-in-nonblocking) — Vec::clear; the name-keyed call graph collides with pieri_chaos::clear (registry lock)
+                // lint:allow(no-blocking-in-nonblocking) — Vec::clear; the name-keyed call graph collides with chaos::clear (registry lock)
                 conn.write_buf.clear();
                 conn.written = 0;
             }

@@ -125,19 +125,19 @@ impl BundleStore {
         let bak = path.with_extension("json.bak");
         // chaos: the disk is full — the save silently does not happen,
         // exactly like a real ENOSPC under the best-effort policy.
-        if crate::chaos::fault("store.write.enospc").is_some() {
+        if crate::chaos::fires("store.write.enospc").is_some() {
             return;
         }
         // chaos: a crash mid-write — half the payload lands in the temp
         // file and the rename never runs. The primary (and `.bak`)
         // from before the "crash" must stay intact.
-        if crate::chaos::fault("store.write.torn").is_some() {
+        if crate::chaos::fires("store.write.torn").is_some() {
             let _ = fs::write(&tmp, &bytes[..bytes.len() / 2]);
             return;
         }
         // chaos: silent payload corruption after the checksum was
         // computed — the load-side checksum must catch it.
-        if crate::chaos::fault("store.corrupt").is_some() {
+        if crate::chaos::fires("store.corrupt").is_some() {
             let mid = bytes.len() / 2;
             bytes[mid] = bytes[mid].wrapping_add(1);
         }

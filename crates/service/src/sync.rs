@@ -17,7 +17,7 @@
 //! `SlotState`s, and the client's connection pool holds an `Option` that
 //! is at worst `None`. Nothing is ever left half-written under a lock.
 //!
-//! **Deadlock.** The service has ten independent lock objects; nesting
+//! **Deadlock.** The service has twelve independent lock objects; nesting
 //! them in inconsistent orders across threads deadlocks. Every lock is
 //! therefore a [`RankedMutex`] carrying a `(name, rank)` pair from
 //! [`rank`], and acquisition debug-asserts that the new rank is
@@ -67,6 +67,13 @@ pub(crate) mod rank {
     pub(crate) const HTTP_ACCEPT: u32 = 50;
     /// `http::Client.conn` — the pooled client connection.
     pub(crate) const CLIENT_CONN: u32 = 60;
+    /// `chaos::ACTIVE` — the installed fault plan. Above every other
+    /// service lock: fault sites fire inside their critical sections
+    /// (`worker.panic` holds the engine queue).
+    pub(crate) const CHAOS_PLAN: u32 = 70;
+    /// `chaos::Clause.rng` — one probabilistic clause's draw stream,
+    /// taken after the plan lock is released.
+    pub(crate) const CHAOS_RNG: u32 = 80;
 }
 
 thread_local! {

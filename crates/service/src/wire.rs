@@ -507,9 +507,8 @@ pub fn error_from_json(v: &Value) -> Result<JobError, WireError> {
 }
 
 /// The build block shared by `/healthz` and `/v1/stats`: crate
-/// version, the git hash baked in at build time (`PIERI_GIT_HASH`,
-/// `"unknown"` when the build ran outside the repo), and which
-/// optional features this binary was compiled with.
+/// version and the git hash baked in at build time (`PIERI_GIT_HASH`,
+/// `"unknown"` when the build ran outside the repo).
 pub fn build_info_json() -> Value {
     object([
         ("version", Value::from(env!("CARGO_PKG_VERSION"))),
@@ -517,15 +516,11 @@ pub fn build_info_json() -> Value {
             "git_hash",
             Value::from(option_env!("PIERI_GIT_HASH").unwrap_or("unknown")),
         ),
-        (
-            "features",
-            object([("chaos", Value::Bool(cfg!(feature = "chaos")))]),
-        ),
     ])
 }
 
 /// Encodes the `/healthz` payload: liveness plus enough build identity
-/// to tell *what* is alive (version, git hash, features, uptime).
+/// to tell *what* is alive (version, git hash, uptime).
 pub fn health_to_json(uptime: Duration) -> Value {
     object([
         ("ok", Value::Bool(true)),
@@ -535,14 +530,17 @@ pub fn health_to_json(uptime: Duration) -> Value {
 }
 
 /// Encodes the `/v1/trace/<id>` payload: the recorded span tree of one
-/// request, ordered as recorded (start order within each thread).
-pub fn trace_to_json(trace_id: u64, spans: &[pieri_trace::SpanRecord]) -> Value {
+/// request, ordered as recorded (start order within each thread), and
+/// how many spans the store's per-trace caps dropped.
+pub fn trace_to_json(trace_id: u64, trace: &pieri_trace::TraceSpans) -> Value {
     object([
         ("trace_id", Value::from(format!("{trace_id:016x}"))),
+        ("dropped", Value::Number(trace.dropped as f64)),
         (
             "spans",
             Value::Array(
-                spans
+                trace
+                    .spans
                     .iter()
                     .map(|s| {
                         object([

@@ -1,7 +1,8 @@
-//! Chaos suite (`--features chaos`): the service under a deterministic
-//! fault plan must answer every request exactly once, with the same
-//! bits a fault-free run produces, and its stats must agree with what
-//! the clients observed.
+//! Chaos suite: the service under a deterministic fault plan must
+//! answer every request exactly once, with the same bits a fault-free
+//! run produces, and its stats must agree with what the clients
+//! observed. Every build carries the fault sites; each test switches
+//! them on by installing a parsed plan.
 //!
 //! The fault registry is process-global, so every test takes the
 //! [`ChaosGuard`]: a static mutex serialising the tests plus an
@@ -11,7 +12,7 @@
 //! clean or restarted engine calls [`ChaosGuard::disarm`], which keeps
 //! the lock: the next test's plan must not fire in that engine.
 
-use pieri_service::pieri_chaos::{self, FaultPlan};
+use pieri_service::chaos::{self, FaultPlan};
 use pieri_service::{Client, Engine, EngineConfig, JobRequest, Server, SupervisorConfig};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -28,19 +29,19 @@ impl ChaosGuard {
     fn install(spec: &str) -> ChaosGuard {
         let lock = CHAOS_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         let plan = Arc::new(FaultPlan::parse(spec).expect("fault plan"));
-        pieri_chaos::install(Arc::clone(&plan));
+        chaos::install(Arc::clone(&plan));
         ChaosGuard { _lock: lock, plan }
     }
 
     /// Clears the fault plan but keeps the lock until the guard drops.
     fn disarm(&self) {
-        pieri_chaos::clear();
+        chaos::clear();
     }
 }
 
 impl Drop for ChaosGuard {
     fn drop(&mut self) {
-        pieri_chaos::clear();
+        chaos::clear();
     }
 }
 
@@ -261,6 +262,28 @@ fn dropped_accepts_are_survived_by_retry() {
     let (status, body) = client.get("/healthz").expect("retries get through");
     assert_eq!(status, 200, "{}", body.serialize());
     assert_eq!(guard.plan.fired("sock.accept.fail"), 2);
+    server.engine().shutdown();
+    server.shutdown();
+}
+
+/// Installing a plan is the only switch, and it works on a live
+/// process: while every accept is dropped a single-shot client fails,
+/// and once the plan is cleared the same server answers, unrestarted.
+#[test]
+fn clearing_the_plan_switches_faults_off_in_a_live_server() {
+    let guard = ChaosGuard::install("sock.accept.fail");
+    let engine = Arc::new(engine_with(1, fast_supervisor()));
+    let server = Server::start("127.0.0.1:0", engine).expect("bind");
+    let client = Client::new(server.addr()).expect("client");
+    assert!(
+        client.get("/healthz").is_err(),
+        "the accept was dropped and the request sent once"
+    );
+    assert_eq!(guard.plan.fired("sock.accept.fail"), 1);
+    guard.disarm();
+    let (status, body) = client.get("/healthz").expect("answered after clear");
+    assert_eq!(status, 200, "{}", body.serialize());
+    assert_eq!(guard.plan.fired("sock.accept.fail"), 1, "no site fired");
     server.engine().shutdown();
     server.shutdown();
 }

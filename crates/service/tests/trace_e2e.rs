@@ -94,6 +94,7 @@ fn trace_id_resolves_to_span_tree() {
         v.get("trace_id").and_then(Value::as_str),
         Some("0000000000abc123")
     );
+    assert_eq!(v.get("dropped").and_then(Value::as_u64), Some(0), "{body}");
     let spans = v
         .get("spans")
         .and_then(Value::as_array)

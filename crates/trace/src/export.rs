@@ -2,14 +2,15 @@
 //! in `chrome://tracing` / Perfetto) and the recent-trace query used
 //! by the service's `/v1/trace/<id>` endpoint.
 
-use crate::span::{self, SpanRecord};
+use crate::span::{self, SpanRecord, TraceSpans};
 use std::io::Write;
 use std::path::Path;
 
 /// The spans recorded for `trace_id` (ordered by start time, with the
-/// nesting depth each record carries), or `None` when the id was never
-/// seen or already evicted from the bounded store.
-pub fn trace_spans(trace_id: u64) -> Option<Vec<SpanRecord>> {
+/// nesting depth each record carries) and the count of spans the
+/// per-trace caps dropped, or `None` when the id was never seen or
+/// already evicted from the bounded store.
+pub fn trace_spans(trace_id: u64) -> Option<TraceSpans> {
     span::store_spans(trace_id)
 }
 

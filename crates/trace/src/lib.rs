@@ -40,7 +40,7 @@
 //! {
 //!     let _span = pieri_trace::span_for("demo.work", "test", id);
 //! }
-//! assert!(!pieri_trace::trace_spans(id).unwrap().is_empty());
+//! assert!(!pieri_trace::trace_spans(id).unwrap().spans.is_empty());
 //! pieri_trace::clear();
 //! ```
 
@@ -59,7 +59,7 @@ pub use metrics::{
 pub use span::{
     clear, current_trace, deep_enabled, deep_span, dropped_spans, enabled, event, install,
     install_from_env, next_trace_id, set_current_trace, slow_request, span, span_closed, span_for,
-    SpanGuard, SpanRecord, TraceConfig,
+    SpanGuard, SpanRecord, TraceConfig, TraceSpans,
 };
 
 /// Serializes every test that touches the process-global span state

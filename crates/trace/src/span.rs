@@ -52,6 +52,16 @@ impl Default for TraceConfig {
 /// reach the rings, but not the store).
 const MAX_SPANS_PER_TRACE: usize = 512;
 
+/// Spans at this depth or shallower pass [`MAX_SPANS_PER_TRACE`]: a
+/// request's phases (`track`, `render`, `request`, …) and one span per
+/// tracked path. A deep trace must keep the spans that close it, which
+/// record last.
+const KEPT_DEPTH: u16 = 1;
+
+/// Hard per-trace cap, shallow spans included: a client may reuse one
+/// trace id on every request, and a batch's jobs share one id.
+const MAX_KEPT_PER_TRACE: usize = 4 * MAX_SPANS_PER_TRACE;
+
 /// One finished span (or instantaneous event, `dur_us == 0` allowed).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
@@ -90,8 +100,18 @@ impl Ring {
     }
 }
 
+/// One trace as the recent-trace store holds it.
+#[derive(Clone, Debug)]
+pub struct TraceSpans {
+    /// The kept spans, ordered by start time.
+    pub spans: Vec<SpanRecord>,
+    /// Spans the store's per-trace caps turned away: deeper than
+    /// depth 1 once the trace held 512 records, any once it held 2 048.
+    pub dropped: u64,
+}
+
 struct Store {
-    traces: HashMap<u64, Vec<SpanRecord>>,
+    traces: HashMap<u64, TraceSpans>,
     order: Vec<u64>,
 }
 
@@ -304,7 +324,7 @@ fn push_ring(ring: &Mutex<Ring>, rec: SpanRecord) {
 
 /// Appends a record to its trace's entry in the recent-trace store.
 /// Never parks; a contended append is dropped and counted, and one
-/// over the per-trace cap is dropped.
+/// over a per-trace cap is dropped and counted for its trace.
 // lint:nonblocking
 fn push_store(state: &TraceState, rec: SpanRecord) {
     // lint:lock-rank(trace-store, 3)
@@ -312,9 +332,12 @@ fn push_store(state: &TraceState, rec: SpanRecord) {
         DROPPED.fetch_add(1, Ordering::Relaxed);
         return;
     };
-    if let Some(spans) = store.traces.get_mut(&rec.trace_id) {
-        if spans.len() < MAX_SPANS_PER_TRACE {
-            spans.push(rec);
+    if let Some(trace) = store.traces.get_mut(&rec.trace_id) {
+        let len = trace.spans.len();
+        if len < MAX_SPANS_PER_TRACE || (rec.depth <= KEPT_DEPTH && len < MAX_KEPT_PER_TRACE) {
+            trace.spans.push(rec);
+        } else {
+            trace.dropped += 1;
         }
         return;
     }
@@ -323,7 +346,13 @@ fn push_store(state: &TraceState, rec: SpanRecord) {
         store.traces.remove(&evict);
     }
     store.order.push(rec.trace_id);
-    store.traces.insert(rec.trace_id, vec![rec]);
+    store.traces.insert(
+        rec.trace_id,
+        TraceSpans {
+            spans: vec![rec],
+            dropped: 0,
+        },
+    );
 }
 
 fn record(rec: SpanRecord) {
@@ -347,17 +376,17 @@ fn record(rec: SpanRecord) {
 
 /// The spans recorded so far for `trace_id`, ordered by start time, or
 /// `None` if the id is unknown (never seen, or evicted).
-pub(crate) fn store_spans(trace_id: u64) -> Option<Vec<SpanRecord>> {
+pub(crate) fn store_spans(trace_id: u64) -> Option<TraceSpans> {
     let state = active()?;
-    let mut spans = {
+    let mut trace = {
         // Reader side: may wait for an in-flight try_lock writer
         // (sub-microsecond critical sections).
         // lint:lock-rank(trace-store, 3)
         let store = state.store.lock().unwrap_or_else(|e| e.into_inner());
         store.traces.get(&trace_id)?.clone()
     };
-    spans.sort_by_key(|s| (s.start_us, s.depth));
-    Some(spans)
+    trace.spans.sort_by_key(|s| (s.start_us, s.depth));
+    Some(trace)
 }
 
 /// An RAII span: construct via [`span`]/[`span_for`], **bind it**
@@ -528,8 +557,8 @@ pub fn slow_request(path: &str, status: u16, trace_id: u64, elapsed_us: u64) {
 mod tests {
     use super::*;
 
-    // Trace state is process-global; serialize the tests that touch it
-    // (same pattern as pieri-chaos), sharing the guard with export.rs.
+    // Trace state is process-global; serialize the tests that touch it,
+    // sharing the guard with export.rs.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         crate::TEST_GUARD.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -558,7 +587,7 @@ mod tests {
         event("mark", "test");
         span_closed("wait", "test", id, 5);
         set_current_trace(prev);
-        let spans = store_spans(id).expect("trace recorded");
+        let spans = store_spans(id).expect("trace recorded").spans;
         assert_eq!(spans.len(), 4, "{spans:?}");
         let wait = spans.iter().find(|s| s.name == "wait").unwrap();
         assert_eq!(wait.dur_us, 5);
@@ -568,6 +597,20 @@ mod tests {
         assert_eq!(inner.depth, 1);
         assert!(inner.start_us >= outer.start_us);
         assert!(inner.dur_us <= outer.dur_us);
+        clear();
+    }
+
+    #[test]
+    fn store_caps_shallow_spans_too() {
+        let _g = lock();
+        install(TraceConfig::default());
+        let id = next_trace_id();
+        for _ in 0..MAX_KEPT_PER_TRACE + 10 {
+            span_closed("request", "test", id, 1);
+        }
+        let trace = store_spans(id).expect("trace recorded");
+        assert_eq!(trace.spans.len(), MAX_KEPT_PER_TRACE);
+        assert_eq!(trace.dropped, 10);
         clear();
     }
 
@@ -689,6 +732,7 @@ mod tests {
         set_current_trace(prev);
         let names: Vec<_> = store_spans(id)
             .expect("phase span recorded")
+            .spans
             .iter()
             .map(|s| s.name)
             .collect();
@@ -705,7 +749,9 @@ mod tests {
             let _deep = deep_span("predict", "tracker");
         }
         set_current_trace(prev);
-        let spans = store_spans(id).expect("deep span recorded under deep config");
+        let spans = store_spans(id)
+            .expect("deep span recorded under deep config")
+            .spans;
         assert_eq!(spans[0].name, "predict");
         clear();
         assert!(!deep_enabled(), "clear() resets the deep flag");
